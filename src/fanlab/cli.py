@@ -538,6 +538,17 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 # Driver
 
+def _natural(text: str) -> int:
+    """argparse type for fuel, depths, limits and inputs: a natural number."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
+
+
 def _digest(argv: list[str]) -> str:
     return hashlib.sha256("\x00".join(argv).encode()).hexdigest()[:12]
 
@@ -561,54 +572,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = add("decode", _cmd_decode, help="print the listing of a program code")
-    p.add_argument("code", type=int)
+    p.add_argument("code", type=_natural)
 
     p = add("eval", _cmd_eval, help="run a program against a node oracle")
     p.add_argument("program", help="program code, or path to an assembly file")
-    p.add_argument("input", type=int)
+    p.add_argument("input", type=_natural)
     p.add_argument("--node", default=None, help="Kripke node, e.g. 2,0,1 (default: no oracle)")
     p.add_argument("--family", default=None, help="ground-real family file")
-    p.add_argument("--fuel", type=int, default=EVAL_FUEL)
+    p.add_argument("--fuel", type=_natural, default=EVAL_FUEL)
 
     p = add("kleene", _cmd_kleene, help="level counts and a witness path of the Kleene tree")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=_natural, default=12)
     p.add_argument("--node", default=None)
     p.add_argument("--family", default=None)
 
     p = add("census", _cmd_census, help="level counts of a tree: lines 'n count 2^n'")
     p.add_argument("--tree", required=True)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_natural, default=8)
     p.add_argument("--scan", action="store_true", help="full 2^n scan instead of frontier expansion")
     p.add_argument("--node", default=None)
     p.add_argument("--family", default=None)
-    p.add_argument("--fuel", type=int, default=EVAL_FUEL)
+    p.add_argument("--fuel", type=_natural, default=EVAL_FUEL)
 
     p = add("wwkl", _cmd_wwkl, help="least level where at least half the sequences are outside the tree")
     p.add_argument("--tree", required=True)
-    p.add_argument("--max", type=int, default=10)
+    p.add_argument("--max", type=_natural, default=10)
     p.add_argument("--node", default=None)
     p.add_argument("--family", default=None)
-    p.add_argument("--fuel", type=int, default=EVAL_FUEL)
+    p.add_argument("--fuel", type=_natural, default=EVAL_FUEL)
 
     p = add("extract-bound", _cmd_extract_bound, help="stage-wise uniform bound extraction from a realizer")
     p.add_argument("--realizer", required=True, help="assembly file or program code")
     p.add_argument("--node", default=None)
     p.add_argument("--family", default=None)
-    p.add_argument("--fuel", type=int, default=EXTRACTION_FUEL)
-    p.add_argument("--max", type=int, default=16, help="stage limit")
+    p.add_argument("--fuel", type=_natural, default=EXTRACTION_FUEL)
+    p.add_argument("--max", type=_natural, default=16, help="stage limit")
 
     p = add("verify-bound", _cmd_verify_bound, help="exhaustively confirm a depth bound against a bar")
     p.add_argument("--bar", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_natural, required=True)
     p.add_argument("--node", default=None)
     p.add_argument("--family", default=None)
-    p.add_argument("--fuel", type=int, default=EVAL_FUEL)
+    p.add_argument("--fuel", type=_natural, default=EVAL_FUEL)
 
     p = add("check", _cmd_check, help="run a property suite; nonzero exit on failure")
     p.add_argument("suite", choices=sorted(_SUITES))
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--fuel", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--depth", type=_natural, default=None)
+    p.add_argument("--fuel", type=_natural, default=None)
+    p.add_argument("--trials", type=_natural, default=None)
 
     return parser
 

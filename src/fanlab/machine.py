@@ -21,6 +21,12 @@ a query (``Answer.BLOCKED``) the run aborts with a ``Blocked`` outcome
 carrying that query: there is no machine-visible way to continue past an
 unanswered question.
 
+The interpreter applies straight runs of ``INC`` and transfer loops
+``h: DECJZ r x; INC a...; JMP h`` (with r not among the a's) in bulk, one
+dispatch for all ``v = r`` rounds, but still charges every step they stand
+for: ``v*(k+2)+1`` for a loop with k INCs.  Steps, outcomes and traces are
+exactly those of executing one instruction at a time, at every fuel.
+
 Numbering
 ---------
 Everything is coded through the Cantor pair ``pair(a, b) = (a+b)(a+b+1)/2 + b``.
@@ -44,7 +50,7 @@ may name labels, which assemble to instruction indices.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -253,12 +259,19 @@ class RunResult:
 
 
 _OP_INC, _OP_DECJZ, _OP_JMP, _OP_QUERY, _OP_HALT = range(5)
+# Macro-ops, attached only where control can enter from elsewhere (pc 0,
+# jump targets, and the first INC after a non-INC).  Each one does the work
+# of many instructions in one dispatch and charges exactly their steps.
+_OP_RUN = 5    # a straight run of INCs: arg1 (reg, count) pairs, arg2 length
+_OP_LOOP = 6   # h: DECJZ r x; INC a...; JMP h: arg1 r, arg2 (x, k + 2, pairs)
+_OP_SPIN = 7   # JMP h at h: never leaves
+_OP_WAIT = 8   # DECJZ r h at h: never leaves once r is zero
 
 
-def _compile(program: Program) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+def _compile(program: Program) -> tuple[tuple[int, ...], tuple, tuple, int]:
     ops: list[int] = []
-    arg1: list[int] = []
-    arg2: list[int] = []
+    arg1: list = []
+    arg2: list = []
     maxreg = 0
     for ins in program:
         match ins:
@@ -275,7 +288,44 @@ def _compile(program: Program) -> tuple[tuple[int, ...], tuple[int, ...], tuple[
                 maxreg = max(maxreg, src, dst)
             case Halt():
                 ops.append(_OP_HALT); arg1.append(0); arg2.append(0)
+    _attach_macros(ops, arg1, arg2)
     return tuple(ops), tuple(arg1), tuple(arg2), maxreg
+
+
+def _attach_macros(ops: list[int], arg1: list, arg2: list) -> None:
+    """Rewrite entry points into macro-ops, in place.
+
+    Control reaches an INC only at pc 0, at a jump target, or by falling
+    through from the instruction before it.  A RUN at each such pc that
+    starts a run or is entered from elsewhere covers every INC after it, so
+    no table per pc is needed; loops and self-loops sit at jump targets.
+    """
+    n = len(ops)
+    targets = {arg2[pc] for pc in range(n) if ops[pc] in (_OP_DECJZ, _OP_JMP)}
+    for h in range(n):
+        if ops[h] == _OP_JMP and arg2[h] == h:
+            ops[h] = _OP_SPIN
+        elif ops[h] == _OP_DECJZ and arg2[h] == h:
+            ops[h] = _OP_WAIT
+        elif ops[h] == _OP_DECJZ:
+            j = h + 1
+            while j < n and ops[j] == _OP_INC:
+                j += 1
+            body = arg1[h + 1:j]
+            if j < n and ops[j] == _OP_JMP and arg2[j] == h and arg1[h] not in body:
+                ops[h] = _OP_LOOP
+                arg2[h] = (arg2[h], j - h + 1, tuple(Counter(body).items()))
+    # Straight INC runs, from the back so each entry gets its run's suffix.
+    counts: Counter[int] = Counter()
+    length = 0
+    for pc in range(n - 1, -1, -1):
+        if ops[pc] != _OP_INC:
+            counts, length = Counter(), 0
+            continue
+        counts[arg1[pc]] += 1
+        length += 1
+        if length > 1 and (pc == 0 or ops[pc - 1] != _OP_INC or pc in targets):
+            ops[pc], arg1[pc], arg2[pc] = _OP_RUN, tuple(counts.items()), length
 
 
 @lru_cache(maxsize=4096)
@@ -302,8 +352,7 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int) -> RunResult:
             trace = QueryTrace(tuple(entries))
             return RunResult(Converged(regs[0]), steps, trace)
         if steps == fuel:
-            trace = QueryTrace(tuple(entries))
-            return RunResult(OutOfFuel(trace), steps, trace)
+            break
         op = ops[pc]
         steps += 1
         if op == _OP_INC:
@@ -331,14 +380,41 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int) -> RunResult:
                 return RunResult(Blocked(q, trace), steps, trace)
             entries.append((q, ans))
             pc += 1
+        # Macro-ops hold no query, so a budget that ends inside one ends the
+        # run there: OutOfFuel after exactly `fuel` steps, trace unchanged.
+        elif op == _OP_RUN:
+            length = arg2[pc]
+            steps += length - 1
+            if steps > fuel:
+                break
+            for reg, count in arg1[pc]:
+                regs[reg] += count
+            pc += length
+        elif op == _OP_LOOP:
+            r = arg1[pc]
+            exit_pc, per_round, counts = arg2[pc]
+            v = regs[r]
+            if v:
+                steps += v * per_round  # v rounds, then the DECJZ that exits
+                if steps > fuel:
+                    break
+                regs[r] = 0
+                for reg, count in counts:
+                    regs[reg] += v * count
+            pc = exit_pc
+        elif op == _OP_SPIN:
+            break
+        elif op == _OP_WAIT:
+            r = arg1[pc]
+            if not regs[r]:
+                break
+            regs[r] -= 1
+            pc += 1
         else:
             trace = QueryTrace(tuple(entries))
             return RunResult(Converged(regs[0]), steps, trace)
-
-
-def run_program(program: Program, x: int, oracle: Oracle = BLOCK_ALL,
-                fuel: int = 100_000) -> RunResult:
-    return _execute(_compile(tuple(program)), x, oracle, fuel)
+    trace = QueryTrace(tuple(entries))
+    return RunResult(OutOfFuel(trace), fuel, trace)
 
 
 def run(code: int, x: int, oracle: Oracle = BLOCK_ALL, fuel: int = 100_000) -> RunResult:

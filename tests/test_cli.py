@@ -200,6 +200,26 @@ def test_input_errors_exit_2(tmp_path):
     assert "error:" in err.getvalue()
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "76", "7", "--fuel", "-1"),
+    ("extract-bound", "--realizer", "76", "--max", "-1"),
+    ("census", "--tree", "zeros", "--depth", "-3"),
+    ("kleene", "--depth", "-1"),
+    ("wwkl", "--tree", "zeros", "--max", "-2"),
+    ("verify-bound", "--bar", "depth 1", "--depth", "-1"),
+    ("check", "census", "--fuel", "-5"),
+    ("decode", "-1"),
+    ("eval", "76", "seven"),
+])
+def test_negative_or_non_numeric_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected a natural number" in err
+    assert "Traceback" not in err
+
+
 def test_check_suites_pass():
     for suite in ("lemma1", "census"):
         code, lines = run_cli("check", suite)

@@ -265,11 +265,17 @@ def test_curry_total_on_small_codes():
 
 
 def test_curry_overhead_formula_is_exact():
-    for a, b in [(0, 0), (1, 0), (0, 1), (2, 3), (5, 2), (7, 7)]:
-        direct = run(76, pair(a, b), BLOCK_ALL, 10**4)
-        curried = run(curry(76, a), b, BLOCK_ALL, 10**4)
+    # The last two are take-8 sized: the prelude loops then run for hundreds
+    # of thousands to millions of steps.
+    for a, b in [(0, 0), (1, 0), (0, 1), (2, 3), (5, 2), (7, 7), (8, 255), (0, 1000)]:
+        fuel = curry_overhead(a, b) + 10
+        direct = run(76, pair(a, b), BLOCK_ALL, fuel)
+        curried = run(curry(76, a), b, BLOCK_ALL, fuel)
         assert curried.outcome == direct.outcome
         assert curried.steps - direct.steps == curry_overhead(a, b)
+        short = run(curry(76, a), b, BLOCK_ALL, curried.steps - 1)
+        assert isinstance(short.outcome, OutOfFuel)
+        assert short.steps == curried.steps - 1
 
 
 def test_curry_extensional_law_random():
