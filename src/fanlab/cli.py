@@ -626,6 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # Codes are naturals of any length: lift the int/str digit limit (4300
+    # by default) on the interpreters that have one.
+    lift_digit_limit = getattr(sys, "set_int_max_str_digits", None)
+    if lift_digit_limit is not None:
+        lift_digit_limit(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

@@ -333,6 +333,36 @@ def first_bit_split_program(path_slice: int = PATH_SLICE) -> Program:
     return tuple(prog)
 
 
+def load_constant_block(value: int, base: int, scratch: int) -> list[Instruction]:
+    """Instructions at offset `base` that set r0 = value, given r0 = scratch = 0.
+
+    Builds the value MSB first by repeated doubling through the scratch
+    register, so for a value of L bits the block has 7*(L-1) +
+    popcount(value) instructions where a run of INCs would have `value`.
+    Doubling an r0 that holds c costs 10*c + 2 steps: c rounds of 4 into
+    scratch, 2*c rounds of 3 back, and two exiting DECJZs.  Summed over the
+    value's leading bits, the block runs in exactly
+    10*value - 9*popcount(value) + 2*(L-1) steps (none for 0), and it
+    leaves scratch at 0.
+    """
+    block: list[Instruction] = []
+    for i, bit in enumerate(format(value, "b")):
+        if i:
+            at = base + len(block)
+            block.extend([
+                Decjz(0, at + 4),  # r0 drains, scratch gains double
+                Inc(scratch),
+                Inc(scratch),
+                Jmp(at),
+                Decjz(scratch, at + 7),  # scratch drains back into r0
+                Inc(0),
+                Jmp(at + 4),
+            ])
+        if bit == "1":
+            block.append(Inc(0))
+    return block
+
+
 def compile_bar_table(table: Iterable[Bits], path_slice: int = PATH_SLICE) -> Program:
     """Decision-tree program that walks the path to the first table element
     on it and returns that element's code."""
@@ -347,7 +377,8 @@ def compile_bar_table(table: Iterable[Bits], path_slice: int = PATH_SLICE) -> Pr
         # r1 holds the previous query value; depth only grows along a path,
         # so topping it up by the delta reaches the next query value.
         if prefix in table:
-            prog.extend([Inc(0)] * bits_to_code(prefix))
+            # Scratch r2: r1 still holds the last query value, r6 is 0 again.
+            prog.extend(load_constant_block(bits_to_code(prefix), len(prog), 2))
             end_holes.append(len(prog))
             prog.append(Jmp(0))  # patched to the end
             return

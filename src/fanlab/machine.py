@@ -184,18 +184,41 @@ def decode_instruction(code: int) -> Instruction:
 
 
 def _encode_seq(codes: list[int]) -> int:
-    if len(codes) == 1:
-        return codes[0]
-    h = len(codes) // 2
-    return pair(_encode_seq(codes[:h]), _encode_seq(codes[h:]))
+    """The balanced pair tree over codes; ranges of zeros are 0 = pair(0, 0)."""
+    nonzero = [0]  # nonzero[i]: how many of codes[:i] are not 0
+    for c in codes:
+        nonzero.append(nonzero[-1] + (c != 0))
+
+    def tree(lo: int, hi: int) -> int:
+        if nonzero[hi] == nonzero[lo]:
+            return 0
+        if hi - lo == 1:
+            return codes[lo]
+        mid = lo + (hi - lo) // 2
+        return pair(tree(lo, mid), tree(mid, hi))
+
+    return tree(0, len(codes))
 
 
 def _decode_seq(n: int, value: int) -> list[int]:
-    if n == 1:
-        return [value]
-    h = n // 2
-    left, right = unpair(value)
-    return _decode_seq(h, left) + _decode_seq(n - h, right)
+    """Inverse of _encode_seq for n >= 1 codes; a 0 subtree stays all zeros."""
+    codes = [0] * n
+    pending = [(0, n, value)]
+    while pending:
+        lo, size, value = pending.pop()
+        if not value:
+            continue
+        if size == 1:
+            codes[lo] = value
+            continue
+        h = size // 2
+        left, right = unpair(value)
+        pending.append((lo, h, left))
+        pending.append((lo + h, size - h, right))
+    return codes
+
+
+_INC_R0 = Inc(0)  # instruction code 0
 
 
 def encode_program(program: Iterable[Instruction]) -> int:
@@ -210,7 +233,7 @@ def decode_program(code: int) -> Program:
     n, body = unpair(code)
     if n == 0:
         return ()
-    return tuple(decode_instruction(c) for c in _decode_seq(n, body))
+    return tuple(decode_instruction(c) if c else _INC_R0 for c in _decode_seq(n, body))
 
 
 # ---------------------------------------------------------------------------

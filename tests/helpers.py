@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from fanlab.fan import load_constant_block
 from fanlab.machine import Decjz, Halt, Inc, Instruction, Jmp, Program, Query
 from fanlab.trees import Bits, bits_to_code
 
@@ -39,33 +40,6 @@ def max_slice_probe_program() -> Program:
     )
 
 
-def load_constant_block(value: int, base: int) -> list[Instruction]:
-    """Instructions at offset `base` that set r0 = value, assuming r0 = 0.
-
-    Builds the value MSB first by repeated doubling through r1, so the block
-    stays logarithmic in size (a plain run of INCs would make six-figure
-    programs whose codes are megabits long).  Runs in about 5*value steps.
-    """
-    block: list[Instruction] = []
-    first = True
-    for ch in format(value, "b") if value else "0":
-        if not first:
-            at = base + len(block)
-            block.extend([
-                Decjz(0, at + 4),  # r0 drains, r1 gains double
-                Inc(1),
-                Inc(1),
-                Jmp(at),
-                Decjz(1, at + 7),  # r1 drains back into r0
-                Inc(0),
-                Jmp(at + 4),
-            ])
-        if ch == "1":
-            block.append(Inc(0))
-        first = False
-    return block
-
-
 def branch_program(prefix_codes: Sequence[int]) -> Program:
     """On input m < len(prefix_codes), return prefix_codes[m]; else 0.
 
@@ -79,7 +53,7 @@ def branch_program(prefix_codes: Sequence[int]) -> Program:
     at = chain_len
     for code in prefix_codes:
         offsets.append(at)
-        block = load_constant_block(code, at) + [Halt()]
+        block = load_constant_block(code, at, 1) + [Halt()]
         blocks.append(block)
         at += len(block)
     prog: list[Instruction] = [Decjz(0, off) for off in offsets]

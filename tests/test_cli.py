@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import sys
 
 import pytest
 
@@ -111,6 +112,45 @@ def test_encode_prints_only_code(tmp_path):
     f.write_text("HALT\n")
     code, lines = run_cli("encode", str(f))
     assert code == 0 and lines == ["code 76"]
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Returns a reset to Python's default int/str digit limit, the one a
+    fresh `fanlab` process starts with (any in-process `main` lifts it for
+    the whole process); the limit in force before the test is put back."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:  # an interpreter without the limit
+        yield lambda: None
+        return
+    before = limit()
+    reset = lambda: sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    reset()
+    yield reset
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("command", ["encode", "asm", "decode", "extract-bound"])
+def test_codes_past_the_digit_limit(command, tmp_path, capsys, default_digit_limit):
+    """The take-7 realizer's code has 8,756 digits, twice Python's default
+    int/str limit; each command takes it or prints it whole."""
+    program = take_prefix_program(7)
+    f = tmp_path / "take7.asm"
+    f.write_text(format_program(program, indices=False) + "\n")
+    status, lines = run_cli("encode", str(f))
+    assert status == 0
+    text = str(encode_program(program))  # main has lifted the limit by now
+    assert len(text) == 8756 and lines == [f"code {text}"]
+    default_digit_limit()
+    if command == "asm":
+        assert run_cli("asm", str(f)) == (0, [f"code {text}"] + format_program(program).splitlines())
+    elif command == "decode":
+        assert run_cli("decode", text) == (0, [f"code {text}"] + format_program(program).splitlines())
+    elif command == "extract-bound":
+        status, lines = run_cli("extract-bound", "--realizer", text)
+        assert status == 0 and lines[0] == "bound 7" and len(lines) == 1 + 2**7
+        assert run_cli("extract-bound", "--realizer", str(f)) == (0, lines)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_eval_record_format(tmp_path):

@@ -3,8 +3,9 @@
 `run` compiles loops and INC runs into macro-ops that charge many steps in
 one dispatch.  Here the whole `RunResult` (outcome, steps, trace) must equal
 that of a one-instruction-per-step interpreter over Instruction tuples, on
-random programs and on loop-shaped ones, at every fuel from 0 to two past
-the settle point.
+random programs, on loop-shaped ones and on the doubling blocks that load
+constants in table realizers, at every fuel from 0 to two past the settle
+point.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from collections import defaultdict
 
 from fanlab import machine
+from fanlab.fan import load_constant_block
 from fanlab.machine import (
     Answer, Blocked, Converged, Decjz, FnOracle, Inc, Instruction, Jmp, Oracle,
     OutOfFuel, Program, Query, QueryTrace, RunResult, encode_program, random_program,
@@ -90,7 +92,20 @@ def loop_program(rng: random.Random) -> Program:
     return tuple(prefix + core + suffix)
 
 
-def assert_same_at_every_fuel(program: Program, x: int) -> None:
+def doubling_program(rng: random.Random) -> Program:
+    """Random code around a constant-loading doubling block.
+
+    Registers start as the random prefix leaves them, so the block's loops
+    also run from states it does not assume (r0 or scratch nonzero).
+    """
+    prefix = list(random_program(rng, max_len=4))
+    block = load_constant_block(rng.randrange(33), len(prefix), rng.randrange(1, 4))
+    suffix = list(random_program(rng, max_len=4))
+    return tuple(prefix + block + suffix)
+
+
+def assert_same_at_every_fuel(program: Program, x: int) -> RunResult:
+    """Compare at every fuel; return the reference run at SETTLE_CAP."""
     code = encode_program(program)
     settled = reference_run(program, x, ORACLE, SETTLE_CAP)
     top = (settled.steps + 2 if not isinstance(settled.outcome, OutOfFuel)
@@ -99,6 +114,7 @@ def assert_same_at_every_fuel(program: Program, x: int) -> None:
         expected = reference_run(program, x, ORACLE, fuel)
         assert run(code, x, ORACLE, fuel) == expected, (program, x, fuel)
     assert run(code, x, ORACLE, SETTLE_CAP) == settled, (program, x, SETTLE_CAP)
+    return settled
 
 
 def macro_ops(program: Program) -> set[int]:
@@ -124,3 +140,15 @@ def test_loop_shaped_programs_match_reference():
         loops += machine._OP_LOOP in macro_ops(program)
         assert_same_at_every_fuel(program, rng.randrange(8))
     assert loops > 500  # most draws must really be accelerated loops
+
+
+def test_doubling_blocks_match_reference():
+    rng = random.Random(5)
+    loops = long_settled = 0
+    for _ in range(300):
+        program = doubling_program(rng)
+        loops += machine._OP_LOOP in macro_ops(program)
+        settled = assert_same_at_every_fuel(program, rng.randrange(4))
+        long_settled += settled.steps >= 100 and not isinstance(settled.outcome, OutOfFuel)
+    assert loops > 200  # every value >= 2 makes a doubling, i.e. two loops
+    assert long_settled > 40  # swept at every fuel through whole doublings

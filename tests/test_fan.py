@@ -1,5 +1,6 @@
 """Path oracles, bar realizers, and uniform-bound extraction."""
 
+import random
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from fanlab.fan import (
     depth_bar,
     extract_bound,
     first_bit_split_program,
+    load_constant_block,
     prefix_hit_bar,
     random_bar_table,
     table_bar,
@@ -28,12 +30,15 @@ from fanlab.fan import (
 from fanlab.machine import (
     BLOCK_ALL,
     Answer,
+    Converged,
+    Decjz,
     Inc,
     Jmp,
     MapOracle,
     Query,
     encode_program,
     pair,
+    run,
 )
 from fanlab.trees import bits_to_code
 
@@ -273,3 +278,53 @@ def test_random_table_is_prefix_free(rng):
             for b in table:
                 if a != b:
                     assert a != b[: len(a)]
+
+
+def test_random_tables_return_the_element_on_every_path(rng):
+    for depth in range(1, 6):
+        for _ in range(6):
+            table = random_bar_table(rng, depth=depth)
+            realizer = BarRealizer(encode_program(compile_bar_table(table)))
+            for head in product((0, 1), repeat=depth):
+                want = next(b for b in table if head[:len(b)] == b)
+                got = apply_realizer_to_path(realizer, PathOracle.zero_extended(head))
+                assert got == (want, len(want)), (table, head)
+
+
+def test_depth5_table_codes_stay_small():
+    """Leaf constants up to ~700 loaded by doubling, not as runs of INC r0,
+    keep these codes near 160k bits (a run of INCs made them ~780k)."""
+    rng = random.Random(1)
+    for _ in range(20):
+        table = random_bar_table(rng, depth=5, stop_prob=0.2)
+        assert encode_program(compile_bar_table(table)).bit_length() < 250_000, table
+
+
+# ---------------------------------------------------------------------------
+# Constant loading
+
+def load_constant_steps(value: int) -> int:
+    """10*c + 2 steps per doubling of a c in r0, one per 1 bit."""
+    ones, length = bin(value).count("1"), value.bit_length()
+    return 10 * value - 9 * ones + 2 * max(length - 1, 0)
+
+
+def test_load_constant_block_pinned_steps():
+    values = (0, 1, 2, 3, 255, 256, 300, 697)
+    steps = [run(encode_program(load_constant_block(v, 0, 2)), 0).steps for v in values]
+    assert steps == [0, 1, 13, 14, 2492, 2567, 2980, 6934]
+    assert steps == [load_constant_steps(v) for v in values]
+
+
+@pytest.mark.parametrize("base,scratch", [(0, 1), (3, 2), (5, 7)])
+def test_load_constant_block_sets_r0_and_clears_scratch(base, scratch):
+    for value in range(301):
+        block = load_constant_block(value, base, scratch)
+        assert len(block) == 7 * max(value.bit_length() - 1, 0) + bin(value).count("1")
+        # base INCs of an unrelated register, the block, then a check that
+        # scratch is back to 0: if not, r0 gains one.
+        end = base + len(block) + 2
+        program = [Inc(4)] * base + block + [Decjz(scratch, end), Inc(0)]
+        res = run(encode_program(program), 0, BLOCK_ALL, fuel=10_000)
+        assert res.outcome == Converged(value), (value, base, scratch)
+        assert res.steps == base + load_constant_steps(value) + 1, (value, base, scratch)
