@@ -34,6 +34,7 @@ naturals, empty string for the root.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import random
@@ -624,13 +625,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _any_digit_count():
+    """Lift Python's int/str digit limit (4,300 by default) for the block, on
+    the interpreters that have one, and put it back after: codes are
+    naturals of any length."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    before = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Codes are naturals of any length: lift the int/str digit limit (4300
-    # by default) on the interpreters that have one.
-    lift_digit_limit = getattr(sys, "set_int_max_str_digits", None)
-    if lift_digit_limit is not None:
-        lift_digit_limit(0)
+    with _any_digit_count():
+        return _main(list(sys.argv[1:]) if argv is None else list(argv))
+
+
+def _main(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

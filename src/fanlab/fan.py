@@ -333,33 +333,41 @@ def first_bit_split_program(path_slice: int = PATH_SLICE) -> Program:
     return tuple(prog)
 
 
-def load_constant_block(value: int, base: int, scratch: int) -> list[Instruction]:
-    """Instructions at offset `base` that set r0 = value, given r0 = scratch = 0.
+LOAD_SCRATCH = 2  # load_constant_block's second register
+LOAD_RADIX = 8  # load_constant_block multiplies by this once per digit
 
-    Builds the value MSB first by repeated doubling through the scratch
-    register, so for a value of L bits the block has 7*(L-1) +
-    popcount(value) instructions where a run of INCs would have `value`.
-    Doubling an r0 that holds c costs 10*c + 2 steps: c rounds of 4 into
-    scratch, 2*c rounds of 3 back, and two exiting DECJZs.  Summed over the
-    value's leading bits, the block runs in exactly
-    10*value - 9*popcount(value) + 2*(L-1) steps (none for 0), and it
-    leaves scratch at 0.
+
+def load_constant_block(value: int, base: int) -> list[Instruction]:
+    """Instructions at offset `base` that set r0 = value, given r0 = r2 = 0.
+
+    Builds the value from its base-8 digits, most significant first: the
+    running value c moves between r0 and the scratch register r2, each move
+    a transfer loop that multiplies it by 8, followed by one INC per unit of
+    the next digit.  The first digit goes into whichever register makes the
+    last move land in r0, and each move drains its source, so r2 ends at 0.
+    A move costs 10*c + 1 steps (c rounds of 10, one exiting DECJZ).  For a
+    value of D octal digits with digit sum s, the block has 10*(D-1) + s
+    instructions, where a run of INCs would have `value`, and runs in
+    exactly 10*(value - s)/7 + s + (D-1) steps (none for 0), at most 10/7
+    of the run's `value`.  Radix 8 keeps that factor low enough for every
+    leaf of a depth-10 table realizer to load within BarRealizer's default
+    fuel (radix 2 would cost up to 4*value steps).
     """
+    digits: list[int] = []
+    while value:
+        value, digit = divmod(value, LOAD_RADIX)
+        digits.append(digit)
+    held = 0 if len(digits) % 2 else LOAD_SCRATCH
     block: list[Instruction] = []
-    for i, bit in enumerate(format(value, "b")):
+    for i, digit in enumerate(reversed(digits)):
         if i:
+            other = LOAD_SCRATCH if held == 0 else 0
             at = base + len(block)
-            block.extend([
-                Decjz(0, at + 4),  # r0 drains, scratch gains double
-                Inc(scratch),
-                Inc(scratch),
-                Jmp(at),
-                Decjz(scratch, at + 7),  # scratch drains back into r0
-                Inc(0),
-                Jmp(at + 4),
-            ])
-        if bit == "1":
-            block.append(Inc(0))
+            block.append(Decjz(held, at + LOAD_RADIX + 2))
+            block.extend([Inc(other)] * LOAD_RADIX)
+            block.append(Jmp(at))
+            held = other
+        block.extend([Inc(held)] * digit)
     return block
 
 
@@ -377,8 +385,9 @@ def compile_bar_table(table: Iterable[Bits], path_slice: int = PATH_SLICE) -> Pr
         # r1 holds the previous query value; depth only grows along a path,
         # so topping it up by the delta reaches the next query value.
         if prefix in table:
-            # Scratch r2: r1 still holds the last query value, r6 is 0 again.
-            prog.extend(load_constant_block(bits_to_code(prefix), len(prog), 2))
+            # Its scratch r2 is free: r1 still holds the last query value,
+            # and r6 is back at 0.
+            prog.extend(load_constant_block(bits_to_code(prefix), len(prog)))
             end_holes.append(len(prog))
             prog.append(Jmp(0))  # patched to the end
             return

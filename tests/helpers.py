@@ -53,7 +53,7 @@ def branch_program(prefix_codes: Sequence[int]) -> Program:
     at = chain_len
     for code in prefix_codes:
         offsets.append(at)
-        block = load_constant_block(code, at, 1) + [Halt()]
+        block = load_constant_block(code, at) + [Halt()]
         blocks.append(block)
         at += len(block)
     prog: list[Instruction] = [Decjz(0, off) for off in offsets]

@@ -114,43 +114,35 @@ def test_encode_prints_only_code(tmp_path):
     assert code == 0 and lines == ["code 76"]
 
 
-@pytest.fixture
-def default_digit_limit():
-    """Returns a reset to Python's default int/str digit limit, the one a
-    fresh `fanlab` process starts with (any in-process `main` lifts it for
-    the whole process); the limit in force before the test is put back."""
-    limit = getattr(sys, "get_int_max_str_digits", None)
-    if limit is None:  # an interpreter without the limit
-        yield lambda: None
-        return
-    before = limit()
-    reset = lambda: sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    reset()
-    yield reset
-    sys.set_int_max_str_digits(before)
+def digit_limit() -> int | None:
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else None
 
 
 @pytest.mark.parametrize("command", ["encode", "asm", "decode", "extract-bound"])
-def test_codes_past_the_digit_limit(command, tmp_path, capsys, default_digit_limit):
+def test_codes_past_the_digit_limit(command, tmp_path, capsys):
     """The take-7 realizer's code has 8,756 digits, twice Python's default
-    int/str limit; each command takes it or prints it whole."""
+    int/str limit; each command takes it or prints it whole, and leaves the
+    limit as it found it."""
     program = take_prefix_program(7)
+    listing = format_program(program).splitlines()
     f = tmp_path / "take7.asm"
     f.write_text(format_program(program, indices=False) + "\n")
+    limit = digit_limit()
     status, lines = run_cli("encode", str(f))
-    assert status == 0
-    text = str(encode_program(program))  # main has lifted the limit by now
-    assert len(text) == 8756 and lines == [f"code {text}"]
-    default_digit_limit()
+    assert status == 0 and len(lines) == 1 and lines[0].startswith("code ")
+    text = lines[0].removeprefix("code ")
+    assert len(text) == 8756 and text.isdigit()
     if command == "asm":
-        assert run_cli("asm", str(f)) == (0, [f"code {text}"] + format_program(program).splitlines())
+        assert run_cli("asm", str(f)) == (0, [f"code {text}"] + listing)
     elif command == "decode":
-        assert run_cli("decode", text) == (0, [f"code {text}"] + format_program(program).splitlines())
+        assert run_cli("decode", text) == (0, [f"code {text}"] + listing)
     elif command == "extract-bound":
         status, lines = run_cli("extract-bound", "--realizer", text)
         assert status == 0 and lines[0] == "bound 7" and len(lines) == 1 + 2**7
         assert run_cli("extract-bound", "--realizer", str(f)) == (0, lines)
     assert "Traceback" not in capsys.readouterr().err
+    assert digit_limit() == limit
 
 
 def test_eval_record_format(tmp_path):
@@ -261,7 +253,7 @@ def test_negative_or_non_numeric_counts_exit_2(argv, capsys):
 
 
 def test_check_suites_pass():
-    for suite in ("lemma1", "census"):
+    for suite in ("lemma1", "census", "extraction"):
         code, lines = run_cli("check", suite)
         assert code == 0
         assert any(" pass " in f" {l} " for l in lines)

@@ -10,6 +10,7 @@ from fanlab.fan import (
     CoverSet,
     ExtractionExhausted,
     InvalidRealizer,
+    LOAD_SCRATCH,
     PATH_SLICE,
     PathOracle,
     RealizerBlocked,
@@ -292,8 +293,9 @@ def test_random_tables_return_the_element_on_every_path(rng):
 
 
 def test_depth5_table_codes_stay_small():
-    """Leaf constants up to ~700 loaded by doubling, not as runs of INC r0,
-    keep these codes near 160k bits (a run of INCs made them ~780k)."""
+    """Leaf constants up to ~700 loaded digit by octal digit, not as runs
+    of INC r0, keep these codes near 60k bits (a run of INCs made them
+    ~780k)."""
     rng = random.Random(1)
     for _ in range(20):
         table = random_bar_table(rng, depth=5, stop_prob=0.2)
@@ -303,28 +305,55 @@ def test_depth5_table_codes_stay_small():
 # ---------------------------------------------------------------------------
 # Constant loading
 
+def octal_digits(value: int) -> list[int]:
+    return [int(d) for d in format(value, "o")] if value else []
+
+
 def load_constant_steps(value: int) -> int:
-    """10*c + 2 steps per doubling of a c in r0, one per 1 bit."""
-    ones, length = bin(value).count("1"), value.bit_length()
-    return 10 * value - 9 * ones + 2 * max(length - 1, 0)
+    """One step per unit of a digit, and 10*c + 1 per move of a c by 8,
+    for c = value // 8, value // 64, ... down to the leading digit."""
+    steps = sum(octal_digits(value))
+    while value >= 8:
+        value //= 8
+        steps += 10 * value + 1
+    return steps
 
 
 def test_load_constant_block_pinned_steps():
-    values = (0, 1, 2, 3, 255, 256, 300, 697)
-    steps = [run(encode_program(load_constant_block(v, 0, 2)), 0).steps for v in values]
-    assert steps == [0, 1, 13, 14, 2492, 2567, 2980, 6934]
+    values = (0, 1, 2, 3, 7, 8, 9, 63, 64, 255, 256, 300, 697, 135_971, 535_084)
+    steps = [run(encode_program(load_constant_block(v, 0)), 0, fuel=10**7).steps
+             for v in values]
+    assert steps == [0, 1, 2, 3, 7, 12, 13, 85, 93, 359, 366, 425, 994, 194_242, 764_404]
     assert steps == [load_constant_steps(v) for v in values]
+    # the docstring's closed form, with s the octal digit sum
+    assert steps == [10 * (v - sum(octal_digits(v))) // 7 + sum(octal_digits(v))
+                     + max(len(octal_digits(v)) - 1, 0) for v in values]
 
 
-@pytest.mark.parametrize("base,scratch", [(0, 1), (3, 2), (5, 7)])
-def test_load_constant_block_sets_r0_and_clears_scratch(base, scratch):
+@pytest.mark.parametrize("base", [0, 5])
+def test_load_constant_block_sets_r0_and_clears_scratch(base):
     for value in range(301):
-        block = load_constant_block(value, base, scratch)
-        assert len(block) == 7 * max(value.bit_length() - 1, 0) + bin(value).count("1")
+        block = load_constant_block(value, base)
+        digits = octal_digits(value)
+        assert len(block) == 10 * max(len(digits) - 1, 0) + sum(digits)
         # base INCs of an unrelated register, the block, then a check that
-        # scratch is back to 0: if not, r0 gains one.
+        # the scratch register is back to 0: if not, r0 gains one.
         end = base + len(block) + 2
-        program = [Inc(4)] * base + block + [Decjz(scratch, end), Inc(0)]
+        program = [Inc(4)] * base + block + [Decjz(LOAD_SCRATCH, end), Inc(0)]
         res = run(encode_program(program), 0, BLOCK_ALL, fuel=10_000)
-        assert res.outcome == Converged(value), (value, base, scratch)
-        assert res.steps == base + load_constant_steps(value) + 1, (value, base, scratch)
+        assert res.outcome == Converged(value), (value, base)
+        assert res.steps == base + load_constant_steps(value) + 1, (value, base)
+
+
+@pytest.mark.parametrize("depth", [9, 10])
+def test_deep_table_extracts_at_default_fuel(depth):
+    """The comb table {0, 10, 110, ..., 1^depth} holds the depth's largest
+    leaf code, pair(depth, 2**depth - 1); loading it stays within the
+    default fuel (a depth-10 leaf costs up to 764,404 steps)."""
+    comb = {(1,) * j + (0,) for j in range(depth)} | {(1,) * depth}
+    realizer = BarRealizer(encode_program(compile_bar_table(comb)))
+    bound = extract_bound(realizer)
+    assert bound.n == depth
+    assert verify_uniform_bound(table_bar(comb), bound.n)
+    got = apply_realizer_to_path(realizer, PathOracle.zero_extended((1,) * depth))
+    assert got == ((1,) * depth, depth)
