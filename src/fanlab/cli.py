@@ -6,9 +6,9 @@ comment naming the command and a digest of its inputs, then the payload
 records, then a trailing `# wall-time` comment.  Identical inputs give
 byte-identical output except for that last line.
 
-Exit codes: 0 success, 1 a checked property failed, 2 bad input.
-The environment variable FANLAB_SEED (default 0) fixes every randomized
-suite, so runs are reproducible across machines.
+Exit codes: 0 success, 1 a checked property failed, 2 bad input, including
+a decider that does not settle within its fuel.  The environment variable
+FANLAB_SEED (default 0) seeds every randomized suite, so runs repeat anywhere.
 
 Assembly grammar, one instruction per line::
 
@@ -48,26 +48,25 @@ from . import fan, kripke, machine, trees
 from .kripke import Family, GroundReal, Node, node_oracle, parse_node
 from .machine import (
     BLOCK_ALL,
+    DEFAULT_FUEL,
     Blocked,
     Converged,
     Decjz,
+    DeciderPartial,
     Halt,
     Inc,
     Instruction,
     Jmp,
+    Oracle,
     OutOfFuel,
     Program,
     Query,
     decode_program,
     encode_program,
     run,
-    run_decider,
     unpair,
 )
-from .trees import Bits, DecidableTree, bits_to_code, format_bits, parse_bits
-
-EVAL_FUEL = 100_000
-EXTRACTION_FUEL = 1_000_000
+from .trees import Bits, DecidableTree, format_bits, parse_bits
 
 
 class CliInputError(ValueError):
@@ -231,18 +230,29 @@ def parse_family_file(path: str) -> Family:
     return tuple(entries[k] for k in range(len(entries)))
 
 
-def _family_and_node(args) -> tuple[Family, Node]:
-    family = parse_family_file(args.family) if args.family else default_family()
-    node = parse_node(args.node) if args.node is not None else ()
-    if len(node) > len(family):
-        raise CliInputError(
-            f"node has {len(node)} entries but the family only {len(family)}"
-        )
-    return family, node
+def _family(args) -> Family:
+    return parse_family_file(args.family) if args.family else default_family()
+
+
+def _node_oracle(family: Family, text: str | None) -> Oracle:
+    """The oracle at the node written in `text`; no node means no oracle."""
+    if text is None:
+        return BLOCK_ALL
+    try:
+        return node_oracle(family, parse_node(text))
+    except ValueError as exc:
+        raise CliInputError(f"bad node {text!r}: {exc}") from None
+
+
+def _spec_tokens(spec: str) -> list[str]:
+    try:
+        return shlex.split(spec)
+    except ValueError as exc:
+        raise CliInputError(f"bad spec {spec!r}: {exc}") from None
 
 
 def parse_tree_spec(spec: str, family: Family, fuel: int) -> DecidableTree:
-    toks = shlex.split(spec)
+    toks = _spec_tokens(spec)
     if not toks:
         raise CliInputError("empty tree spec")
     kind, rest = toks[0], toks[1:]
@@ -253,13 +263,11 @@ def parse_tree_spec(spec: str, family: Family, fuel: int) -> DecidableTree:
     if kind == "at-most-k-ones" and len(rest) == 1 and rest[0].isdigit():
         return trees.at_most_ones_tree(int(rest[0]))
     if kind == "kleene" and len(rest) <= 1:
-        oracle = node_oracle(family, parse_node(rest[0])) if rest else BLOCK_ALL
-        return trees.kleene_tree(oracle)
+        return trees.kleene_tree(_node_oracle(family, rest[0] if rest else None))
     if kind == "decider" and 1 <= len(rest) <= 2:
         code = encode_program(parse_assembly(_read_text(rest[0])))
-        oracle = node_oracle(family, parse_node(rest[1])) if len(rest) == 2 else BLOCK_ALL
-        label = f"decider:{Path(rest[0]).name}"
-        return trees.DecidableTree.from_program(code, oracle, fuel, label)
+        oracle = _node_oracle(family, rest[1] if len(rest) == 2 else None)
+        return DecidableTree.from_program(code, oracle, fuel)
     raise CliInputError(f"bad tree spec: {spec!r}")
 
 
@@ -278,14 +286,14 @@ def parse_bar_table_file(path: str) -> frozenset[Bits]:
 
 def parse_bar_spec(spec: str, oracle, fuel: int):
     """A bar membership test from `depth <k>`, `table <file>`, or an assembly path."""
-    toks = shlex.split(spec)
+    toks = _spec_tokens(spec)
     if len(toks) == 2 and toks[0] == "depth" and toks[1].isdigit():
         return fan.depth_bar(int(toks[1]))
     if len(toks) == 2 and toks[0] == "table":
         return fan.table_bar(parse_bar_table_file(toks[1]))
     if len(toks) == 1:
         code = encode_program(parse_assembly(_read_text(toks[0])))
-        return lambda bits: run_decider(code, bits_to_code(bits), oracle, fuel) != 0
+        return DecidableTree.from_program(code, oracle, fuel).contains
     raise CliInputError(f"bad bar spec: {spec!r}")
 
 
@@ -315,9 +323,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_eval(args) -> int:
     code = _program_arg(args.program)
-    family, node = _family_and_node(args)
-    oracle = node_oracle(family, node) if args.node is not None else BLOCK_ALL
-    res = run(code, args.input, oracle, args.fuel)
+    res = run(code, args.input, _node_oracle(_family(args), args.node), args.fuel)
     slices = {unpair(q)[0] for q, _ in res.trace.entries}
     match res.outcome:
         case Converged(value):
@@ -337,8 +343,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_kleene(args) -> int:
-    family, node = _family_and_node(args)
-    oracle = node_oracle(family, node) if args.node is not None else BLOCK_ALL
+    oracle = _node_oracle(_family(args), args.node)
     tree = trees.kleene_tree(oracle)
     for n, frontier in trees.levels(tree, args.depth):
         print(f"level {n} {len(frontier)}")
@@ -351,34 +356,37 @@ def _cmd_kleene(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    family, _ = _family_and_node(args)
-    tree = parse_tree_spec(args.tree, family, args.fuel)
+    tree = parse_tree_spec(args.tree, _family(args), args.fuel)
     if args.scan:
         counts = [trees.full_scan_count(tree, n) for n in range(args.depth + 1)]
     else:
-        counts = [len(f) for _, f in trees.levels(tree, args.depth)]
+        counts = trees.level_census(tree, args.depth)
     for n, count in enumerate(counts):
         print(f"{n} {count} {1 << n}")
     return 0
 
 
 def _cmd_wwkl(args) -> int:
-    family, _ = _family_and_node(args)
-    tree = parse_tree_spec(args.tree, family, args.fuel)
+    tree = parse_tree_spec(args.tree, _family(args), args.fuel)
     witness = trees.wwkl_witness(tree, args.max)
     print(f"witness {'none' if witness is None else witness}")
     return 0
 
 
 def _cmd_extract_bound(args) -> int:
-    family, node = _family_and_node(args)
-    base = node_oracle(family, node) if args.node is not None else BLOCK_ALL
+    base = _node_oracle(_family(args), args.node)
     code = _program_arg(args.realizer)
-    realizer = fan.BarRealizer(code, base, args.fuel)
+    try:
+        realizer = fan.BarRealizer(code, base, args.fuel)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from None
     try:
         bound = fan.extract_bound(realizer, n_max=args.max)
     except fan.ExtractionExhausted as exc:
-        print(f"no-bound stage {exc.stage} uncovered {len(exc.uncovered)} reason {exc.reason}")
+        line = f"no-bound stage {exc.stage} uncovered {len(exc.uncovered)} reason {exc.reason}"
+        if exc.sequence is not None:
+            line += f" sequence {format_bits(exc.sequence)} steps {exc.steps}"
+        print(line)
         return 1
     except fan.InvalidRealizer as exc:
         print(f"invalid-realizer {exc}")
@@ -393,9 +401,7 @@ def _cmd_extract_bound(args) -> int:
 
 
 def _cmd_verify_bound(args) -> int:
-    family, node = _family_and_node(args)
-    oracle = node_oracle(family, node) if args.node is not None else BLOCK_ALL
-    bar = parse_bar_spec(args.bar, oracle, args.fuel)
+    bar = parse_bar_spec(args.bar, _node_oracle(_family(args), args.node), args.fuel)
     ok = fan.verify_uniform_bound(bar, args.depth)
     print(f"verified {'true' if ok else 'false'}")
     return 0 if ok else 1
@@ -424,17 +430,9 @@ def _suite_persistence(args, rng: random.Random) -> list[str]:
     return [f"persistence {status} trials {args.trials} failures {failures}"]
 
 
-def _all_nodes(max_len: int, max_entry: int):
-    frontier: list[Node] = [()]
-    yield ()
-    for _ in range(max_len):
-        frontier = [n + (i,) for n in frontier for i in range(max_entry + 1)]
-        yield from frontier
-
-
 def _suite_slice_gate(args, rng: random.Random) -> list[str]:
     family = default_family()
-    nodes = list(_all_nodes(4, 3))
+    nodes = kripke.all_nodes(4, 3)
     bad = 0
     for k in range(4):
         probe = encode_program(kripke.slice_probe_program(k))
@@ -503,8 +501,8 @@ def _suite_census(args, rng: random.Random) -> list[str]:
     bad = 0
     for spec in specs:
         tree = parse_tree_spec(spec, family, args.fuel)
-        frontier = [len(f) for _, f in trees.levels(tree, args.depth)]
-        scan = [trees.full_scan_count(tree, n) for n in range(args.depth + 1)]
+        frontier = trees.level_census(tree, args.depth)
+        scan = tuple(trees.full_scan_count(tree, n) for n in range(args.depth + 1))
         if frontier != scan:
             bad += 1
     status = "pass" if bad == 0 else "fail"
@@ -513,10 +511,10 @@ def _suite_census(args, rng: random.Random) -> list[str]:
 
 _SUITES = {
     "persistence": (_suite_persistence, {"trials": 500, "fuel": 10_000}),
-    "lemma1": (_suite_slice_gate, {"fuel": EVAL_FUEL}),
+    "lemma1": (_suite_slice_gate, {"fuel": DEFAULT_FUEL}),
     "kleene": (_suite_kleene, {"depth": 12}),
     "extraction": (_suite_extraction, {"trials": 25}),
-    "census": (_suite_census, {"depth": 8, "fuel": EVAL_FUEL}),
+    "census": (_suite_census, {"depth": 8, "fuel": DEFAULT_FUEL}),
 }
 
 
@@ -580,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", type=_natural)
     p.add_argument("--node", default=None, help="Kripke node, e.g. 2,0,1 (default: no oracle)")
     p.add_argument("--family", default=None, help="ground-real family file")
-    p.add_argument("--fuel", type=_natural, default=EVAL_FUEL)
+    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
 
     p = add("kleene", _cmd_kleene, help="level counts and a witness path of the Kleene tree")
     p.add_argument("--depth", type=_natural, default=12)
@@ -591,22 +589,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--depth", type=_natural, default=8)
     p.add_argument("--scan", action="store_true", help="full 2^n scan instead of frontier expansion")
-    p.add_argument("--node", default=None)
     p.add_argument("--family", default=None)
-    p.add_argument("--fuel", type=_natural, default=EVAL_FUEL)
+    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
 
     p = add("wwkl", _cmd_wwkl, help="least level where at least half the sequences are outside the tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--max", type=_natural, default=10)
-    p.add_argument("--node", default=None)
     p.add_argument("--family", default=None)
-    p.add_argument("--fuel", type=_natural, default=EVAL_FUEL)
+    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
 
     p = add("extract-bound", _cmd_extract_bound, help="stage-wise uniform bound extraction from a realizer")
     p.add_argument("--realizer", required=True, help="assembly file or program code")
     p.add_argument("--node", default=None)
     p.add_argument("--family", default=None)
-    p.add_argument("--fuel", type=_natural, default=EXTRACTION_FUEL)
+    p.add_argument("--fuel", type=_natural, default=fan.EXTRACTION_FUEL)
     p.add_argument("--max", type=_natural, default=16, help="stage limit")
 
     p = add("verify-bound", _cmd_verify_bound, help="exhaustively confirm a depth bound against a bar")
@@ -614,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_natural, required=True)
     p.add_argument("--node", default=None)
     p.add_argument("--family", default=None)
-    p.add_argument("--fuel", type=_natural, default=EVAL_FUEL)
+    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
 
     p = add("check", _cmd_check, help="run a property suite; nonzero exit on failure")
     p.add_argument("suite", choices=sorted(_SUITES))
@@ -654,7 +650,7 @@ def _main(argv: list[str]) -> int:
     print(f"# fanlab {args.command} inputs {_digest(argv)}")
     try:
         status = args.func(args)
-    except CliInputError as exc:
+    except (CliInputError, DeciderPartial) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"# wall-time {time.perf_counter() - started:.3f}s")

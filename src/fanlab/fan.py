@@ -2,10 +2,11 @@
 
 A bar realizer is a program that, run against an infinite 0/1 path, returns
 the code of a prefix of that path lying in some bar B.  Paths are served on
-a reserved query slice (default 8): a query pair(PATH_SLICE, j) reads path
-bit j and is never blocked, while every other query is routed to the
-surrounding node oracle.  The path oracle records the least initial segment
-that was actually read, which is the modulus the extraction leans on.
+one reserved query slice, PATH_SLICE = 8: a query pair(PATH_SLICE, j) reads
+path bit j and is never blocked, while every other query is routed to the
+surrounding node oracle, whose node must stop short of that slice.  The
+path oracle records the least initial segment that was actually read,
+which is the modulus the extraction leans on.
 
 `extract_bound` reconstructs a uniform depth bound stage by stage.  At stage
 n, each length-n sequence that does not yet extend a committed element is
@@ -44,9 +45,10 @@ from .machine import (
     run,
     unpair,
 )
-from .trees import Bits, bits_to_code, code_to_bits, is_canonical_bits_code
+from .trees import Bits, bits_to_code, code_to_bits, format_bits, is_canonical_bits_code
 
-PATH_SLICE = 8  # reserved slice for path bits; keep above every configured slice
+PATH_SLICE = 8  # reserved slice for path bits; BarRealizer rejects nodes that reach it
+EXTRACTION_FUEL = 1_000_000  # default step budget of one realizer run
 
 
 class InvalidRealizer(Exception):
@@ -67,16 +69,21 @@ class RealizerOutOfFuel(Exception):
 
 
 class ExtractionExhausted(Exception):
-    """Bound search gave up; carries the last stage and its uncovered census."""
+    """Bound search gave up at `stage` with `uncovered` left; `sequence` and
+    `steps` name the realizer run that used up its fuel (None at the stage limit)."""
 
-    def __init__(self, stage: int, uncovered: tuple[Bits, ...], reason: str):
+    def __init__(self, stage: int, uncovered: tuple[Bits, ...], reason: str,
+                 sequence: Bits | None = None, steps: int | None = None):
+        spent = "" if sequence is None else f": sequence {format_bits(sequence)} used {steps} steps"
         super().__init__(
             f"no uniform bound by stage {stage} "
-            f"({len(uncovered)} uncovered, {reason})"
+            f"({len(uncovered)} uncovered, {reason}{spent})"
         )
         self.stage = stage
         self.uncovered = uncovered
         self.reason = reason
+        self.sequence = sequence
+        self.steps = steps
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +126,10 @@ class RoutedOracle:
 
     base: Oracle
     path: PathOracle
-    path_slice: int = PATH_SLICE
 
     def answer(self, query: int) -> Answer:
         k, s = unpair(query)
-        if k == self.path_slice:
+        if k == PATH_SLICE:
             return Answer.YES if self.path.read(s) else Answer.NO
         return self.base.answer(query)
 
@@ -132,20 +138,21 @@ class RoutedOracle:
 class BarRealizer:
     code: int
     base_oracle: Oracle = BLOCK_ALL
-    fuel: int = 1_000_000
-    path_slice: int = PATH_SLICE
+    fuel: int = EXTRACTION_FUEL
+
+    def __post_init__(self):
+        node = getattr(self.base_oracle, "node", ())  # set on node oracles
+        if len(node) > PATH_SLICE:
+            raise ValueError(f"a node of length {len(node)} reaches path slice {PATH_SLICE}")
 
 
-def apply_realizer_to_path(realizer: BarRealizer, path: PathOracle,
-                           fuel: int | None = None) -> tuple[Bits, int]:
+def apply_realizer_to_path(realizer: BarRealizer, path: PathOracle) -> tuple[Bits, int]:
     """Run the realizer against a path; return (prefix, use).
 
     The realizer is applied to input 0; its output must be the canonical
     code of a prefix of the path it saw, else InvalidRealizer.
     """
-    budget = realizer.fuel if fuel is None else fuel
-    routed = RoutedOracle(realizer.base_oracle, path, realizer.path_slice)
-    res = run(realizer.code, 0, routed, budget)
+    res = run(realizer.code, 0, RoutedOracle(realizer.base_oracle, path), realizer.fuel)
     match res.outcome:
         case Converged(value):
             if not is_canonical_bits_code(value):
@@ -160,7 +167,7 @@ def apply_realizer_to_path(realizer: BarRealizer, path: PathOracle,
         case Blocked(query, trace):
             raise RealizerBlocked(query, trace)
         case OutOfFuel(_):
-            raise RealizerOutOfFuel(f"no output within {budget} steps")
+            raise RealizerOutOfFuel(f"no output within {realizer.fuel} steps")
     raise AssertionError("unreachable")
 
 
@@ -206,8 +213,7 @@ class UniformBound:
     realizer_outputs: frozenset[Bits] = field(default_factory=frozenset)
 
 
-def extract_bound(realizer: BarRealizer, *, fuel: int | None = None,
-                  n_max: int = 16) -> UniformBound:
+def extract_bound(realizer: BarRealizer, *, n_max: int = 16) -> UniformBound:
     """Stage-by-stage search for a depth past which the bar covers everything.
 
     Raises ExtractionExhausted when the stage limit or the realizer's fuel
@@ -223,9 +229,10 @@ def extract_bound(realizer: BarRealizer, *, fuel: int | None = None,
                 continue
             path = PathOracle.zero_extended(bits)
             try:
-                prefix, _use = apply_realizer_to_path(realizer, path, fuel)
+                prefix, _use = apply_realizer_to_path(realizer, path)
             except RealizerOutOfFuel:
-                raise ExtractionExhausted(n, cover.uncovered(n), "realizer fuel") from None
+                raise ExtractionExhausted(n, cover.uncovered(n), "realizer fuel",
+                                          bits, realizer.fuel) from None
             outputs.add(prefix)
             if len(prefix) <= n:
                 for tail in product((0, 1), repeat=n - len(prefix)):
@@ -288,12 +295,12 @@ def random_bar_table(rng, depth: int = 4, stop_prob: float = 0.4) -> frozenset[B
 # ---------------------------------------------------------------------------
 # Realizer program builders
 
-def take_prefix_program(n: int, path_slice: int = PATH_SLICE) -> Program:
+def take_prefix_program(n: int) -> Program:
     """Program returning the code of the path's first n bits (use exactly n)."""
     prog: list[Instruction] = []
     prev = 0
     for j in range(n):
-        q = pair(path_slice, j)
+        q = pair(PATH_SLICE, j)
         prog.extend([Inc(5)] * (q - prev))
         prev = q
         prog.append(Query(5, 6))
@@ -303,10 +310,10 @@ def take_prefix_program(n: int, path_slice: int = PATH_SLICE) -> Program:
     return tuple(prog)
 
 
-def first_bit_split_program(path_slice: int = PATH_SLICE) -> Program:
+def first_bit_split_program() -> Program:
     """Returns the length-1 prefix when the path starts 0, length-2 when 1."""
-    q0 = pair(path_slice, 0)
-    q1 = pair(path_slice, 1)
+    q0 = pair(PATH_SLICE, 0)
+    q1 = pair(PATH_SLICE, 1)
     prog: list[Instruction] = []
     prog.extend([Inc(5)] * q0)
     prog.append(Query(5, 6))
@@ -371,7 +378,7 @@ def load_constant_block(value: int, base: int) -> list[Instruction]:
     return block
 
 
-def compile_bar_table(table: Iterable[Bits], path_slice: int = PATH_SLICE) -> Program:
+def compile_bar_table(table: Iterable[Bits]) -> Program:
     """Decision-tree program that walks the path to the first table element
     on it and returns that element's code."""
     table = frozenset(tuple(b) for b in table)
@@ -393,7 +400,7 @@ def compile_bar_table(table: Iterable[Bits], path_slice: int = PATH_SLICE) -> Pr
             return
         if len(prefix) >= depth:
             raise ValueError(f"table does not cover the path through {prefix}")
-        q = pair(path_slice, len(prefix))
+        q = pair(PATH_SLICE, len(prefix))
         prog.extend([Inc(1)] * (q - r1_value))
         prog.append(Query(1, 6))
         hole = len(prog)

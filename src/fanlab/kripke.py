@@ -12,10 +12,12 @@ answers nothing and information only ever accumulates along a branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .machine import (
     Answer,
     BLOCK_ALL,
+    DEFAULT_FUEL,
     Blocked,
     Converged,
     EvalOutcome,
@@ -41,6 +43,12 @@ def format_node(node: Node) -> str:
     return ",".join(str(i) for i in node)
 
 
+def all_nodes(max_len: int, max_entry: int) -> list[Node]:
+    """Nodes of length <= max_len with entries <= max_entry, shortest first."""
+    entries = range(max_entry + 1)
+    return [node for n in range(max_len + 1) for node in product(entries, repeat=n)]
+
+
 def flip_set(i: int) -> frozenset[int]:
     """The finite set named by i: its binary digit positions.  flip_set(0) = {}."""
     out = set()
@@ -63,7 +71,7 @@ class GroundReal:
 
     pattern: tuple[int, ...] | None = None
     decider: int | None = None
-    fuel: int = 100_000
+    fuel: int = DEFAULT_FUEL
 
     def __post_init__(self):
         if (self.pattern is None) == (self.decider is None):
@@ -142,7 +150,8 @@ class SliceAccessReport:
         return all_converged == all_low
 
 
-def check_slice_access(code: int, inputs, family, node, fuel: int = 100_000) -> SliceAccessReport:
+def check_slice_access(code: int, inputs, family, node,
+                       fuel: int = DEFAULT_FUEL) -> SliceAccessReport:
     """Run a program at a node over many inputs and report which slices it asked."""
     oracle = node_oracle(family, node)
     rows = []

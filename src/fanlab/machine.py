@@ -239,6 +239,9 @@ def decode_program(code: int) -> Program:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+DEFAULT_FUEL = 100_000  # step budget wherever a caller names none
+
+
 @dataclass(frozen=True)
 class QueryTrace:
     """Answered queries, in order.  A blocking query is not an entry."""
@@ -248,9 +251,6 @@ class QueryTrace:
     @property
     def max_query(self) -> int | None:
         return max((q for q, _ in self.entries), default=None)
-
-
-EMPTY_TRACE = QueryTrace()
 
 
 @dataclass(frozen=True)
@@ -440,19 +440,15 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int) -> RunResult:
     return RunResult(OutOfFuel(trace), fuel, trace)
 
 
-def run(code: int, x: int, oracle: Oracle = BLOCK_ALL, fuel: int = 100_000) -> RunResult:
+def run(code: int, x: int, oracle: Oracle = BLOCK_ALL, fuel: int = DEFAULT_FUEL) -> RunResult:
     """Run the program numbered `code` on input x with a step budget."""
     return _execute(_compiled_from_code(code), x, oracle, fuel)
 
 
-def evaluate(code: int, x: int, oracle: Oracle = BLOCK_ALL, fuel: int = 100_000) -> EvalOutcome:
-    return run(code, x, oracle, fuel).outcome
-
-
-def apply(code: int, argument: int, oracle: Oracle = BLOCK_ALL,
-          fuel: int = 100_000) -> EvalOutcome:
+def evaluate(code: int, x: int, oracle: Oracle = BLOCK_ALL,
+             fuel: int = DEFAULT_FUEL) -> EvalOutcome:
     """The applicative-structure application: run code on one argument."""
-    return evaluate(code, argument, oracle, fuel)
+    return run(code, x, oracle, fuel).outcome
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +526,7 @@ class DeciderPartial(Exception):
 
 
 def run_decider(code: int, x: int, oracle: Oracle = BLOCK_ALL,
-                fuel: int = 100_000) -> int:
+                fuel: int = DEFAULT_FUEL) -> int:
     res = run(code, x, oracle, fuel)
     match res.outcome:
         case Converged(value):

@@ -20,6 +20,7 @@ from typing import Callable, Iterator
 
 from .machine import (
     BLOCK_ALL,
+    DEFAULT_FUEL,
     Blocked,
     Converged,
     DeciderPartial,
@@ -73,34 +74,29 @@ def parse_bits(text: str) -> Bits:
 @dataclass(frozen=True)
 class DecidableTree:
     membership: Callable[[Bits], bool]
-    label: str = "tree"
 
     def contains(self, bits) -> bool:
         return bool(self.membership(tuple(bits)))
 
     @staticmethod
-    def from_predicate(fn: Callable[[Bits], bool], label: str = "tree") -> "DecidableTree":
-        return DecidableTree(fn, label)
-
-    @staticmethod
-    def from_program(code: int, oracle: Oracle = BLOCK_ALL, fuel: int = 100_000,
-                     label: str = "decider") -> "DecidableTree":
+    def from_program(code: int, oracle: Oracle = BLOCK_ALL,
+                     fuel: int = DEFAULT_FUEL) -> "DecidableTree":
         def member(bits: Bits) -> bool:
             return run_decider(code, bits_to_code(bits), oracle, fuel) != 0
 
-        return DecidableTree(member, label)
+        return DecidableTree(member)
 
 
 def full_tree() -> DecidableTree:
-    return DecidableTree(lambda bits: True, "full")
+    return DecidableTree(lambda bits: True)
 
 
 def zeros_tree() -> DecidableTree:
-    return DecidableTree(lambda bits: all(b == 0 for b in bits), "zeros")
+    return DecidableTree(lambda bits: all(b == 0 for b in bits))
 
 
 def at_most_ones_tree(k: int) -> DecidableTree:
-    return DecidableTree(lambda bits: sum(bits) <= k, f"at-most-{k}-ones")
+    return DecidableTree(lambda bits: sum(bits) <= k)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +149,7 @@ def kleene_tree(oracle: Oracle = BLOCK_ALL) -> DecidableTree:
                 return False
         return True
 
-    return DecidableTree(member, "kleene")
+    return DecidableTree(member)
 
 
 def kleene_witness(oracle: Oracle, n: int) -> Bits:
@@ -186,24 +182,13 @@ def full_scan_count(tree: DecidableTree, n: int) -> int:
     return sum(1 for bits in product((0, 1), repeat=n) if tree.contains(bits))
 
 
-def level_count(tree: DecidableTree, n: int, method: str = "frontier") -> int:
-    if method == "frontier":
-        for depth, frontier in levels(tree, n):
-            if depth == n:
-                return len(frontier)
-        raise AssertionError("unreachable")
-    if method == "scan":
-        return full_scan_count(tree, n)
-    raise ValueError(f"unknown census method {method!r}")
+def level_census(tree: DecidableTree, n_max: int) -> tuple[int, ...]:
+    """Members at each level 0..n_max, by frontier expansion."""
+    return tuple(len(front) for _, front in levels(tree, n_max))
 
 
-@dataclass(frozen=True)
-class LevelCensus:
-    counts: tuple[int, ...]  # counts[n] = members at level n
-
-
-def level_census(tree: DecidableTree, n_max: int) -> LevelCensus:
-    return LevelCensus(tuple(len(front) for _, front in levels(tree, n_max)))
+def level_count(tree: DecidableTree, n: int) -> int:
+    return level_census(tree, n)[n]
 
 
 def measure_upper(tree: DecidableTree, n: int) -> Fraction:
@@ -265,7 +250,7 @@ class BranchDecider:
     IncoherentBranch as soon as it is observable.
     """
 
-    def __init__(self, code: int, oracle: Oracle = BLOCK_ALL, fuel: int = 100_000):
+    def __init__(self, code: int, oracle: Oracle = BLOCK_ALL, fuel: int = DEFAULT_FUEL):
         self.code = code
         self.oracle = oracle
         self.fuel = fuel
@@ -297,22 +282,14 @@ class BranchDecider:
         return bits == self.prefix_at(len(bits))
 
 
-def branch_to_decider(code: int, oracle: Oracle = BLOCK_ALL,
-                      fuel: int = 100_000) -> BranchDecider:
-    """Decidable set membership for the branch computed by `code`."""
-    return BranchDecider(code, oracle, fuel)
-
-
 __all__ = [
     "Bits",
     "BranchDecider",
     "DecidableTree",
     "DeciderPartial",
     "IncoherentBranch",
-    "LevelCensus",
     "at_most_ones_tree",
     "bits_to_code",
-    "branch_to_decider",
     "check_prefix_closed",
     "code_to_bits",
     "format_bits",

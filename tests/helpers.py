@@ -71,13 +71,3 @@ def pattern_prefix_codes(pattern: Sequence[int], depth: int) -> list[int]:
 
 def pattern_bits(pattern: Sequence[int], length: int) -> Bits:
     return tuple(pattern[i % len(pattern)] for i in range(length))
-
-
-def all_nodes(max_len: int, max_entry: int) -> list[tuple[int, ...]]:
-    """Every node of length <= max_len with entries <= max_entry."""
-    out: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        frontier = [n + (i,) for n in frontier for i in range(max_entry + 1)]
-        out.extend(frontier)
-    return out

@@ -23,7 +23,7 @@ from fanlab.fan import (
     take_prefix_program,
     verify_uniform_bound,
 )
-from fanlab.kripke import GroundReal, layered_answer, node_oracle, slice_probe_program
+from fanlab.kripke import GroundReal, all_nodes, layered_answer, node_oracle, slice_probe_program
 from fanlab.machine import (
     BLOCK_ALL,
     Answer,
@@ -43,9 +43,9 @@ from fanlab.machine import (
     unpair,
 )
 from fanlab.trees import (
+    BranchDecider,
     IncoherentBranch,
     at_most_ones_tree,
-    branch_to_decider,
     check_prefix_closed,
     full_scan_count,
     full_tree,
@@ -55,7 +55,7 @@ from fanlab.trees import (
     zeros_tree,
 )
 
-from helpers import all_nodes, branch_program, pattern_bits, pattern_prefix_codes
+from helpers import branch_program, pattern_bits, pattern_prefix_codes
 
 FAMILY = tuple(
     GroundReal(pattern=p)
@@ -282,7 +282,7 @@ def test_criterion_10_branch_deciders():
     total = 0
     for pattern in patterns:
         rb = encode_program(branch_program(pattern_prefix_codes(pattern, 10)))
-        decider = branch_to_decider(rb, fuel=10**7)
+        decider = BranchDecider(rb, fuel=10**7)
         for m in range(11):
             expected = pattern_bits(pattern, m)
             total += 1
@@ -295,13 +295,13 @@ def test_criterion_10_branch_deciders():
     violators_caught = 0
     wrong_length = encode_program(branch_program(pattern_prefix_codes((1, 0), 11)[1:]))
     try:
-        branch_to_decider(wrong_length, fuel=10**7).contains((1, 0, 1))
+        BranchDecider(wrong_length, fuel=10**7).contains((1, 0, 1))
     except IncoherentBranch:
         violators_caught += 1
     broken_codes = pattern_prefix_codes((0,), 10)
     broken_codes[3] = trees.bits_to_code((0, 1, 0))
     chain_break = encode_program(branch_program(broken_codes))
-    decider = branch_to_decider(chain_break)
+    decider = BranchDecider(chain_break)
     decider.contains((0, 0))
     try:
         decider.contains((0, 1, 0))

@@ -3,8 +3,10 @@
 import io
 import contextlib
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanlab.cli import (
     AsmError,
@@ -23,6 +25,9 @@ from fanlab.machine import (
     Query,
     encode_program,
 )
+
+
+ASM_DIR = Path(__file__).resolve().parents[1] / "scripts" / "asm"
 
 
 def run_cli(*argv: str) -> tuple[int, list[str]]:
@@ -212,6 +217,57 @@ def test_extract_bound_stage_limit_exit(tmp_path):
     assert lines == ["no-bound stage 3 uncovered 8 reason stage limit"]
 
 
+def test_extract_bound_fuel_exit_names_the_sequence():
+    """first_zero answers at the path's first 0, so on all ones it runs
+    until its fuel is gone; the stage-limit line is pinned above."""
+    code, lines = run_cli("extract-bound", "--realizer", str(ASM_DIR / "first_zero.asm"))
+    assert code == 1
+    assert lines == [
+        "no-bound stage 10 uncovered 1 reason realizer fuel sequence 1111111111 steps 1000000"
+    ]
+
+
+@pytest.mark.parametrize("length,status", [(9, 2), (8, 0)])
+def test_extract_bound_rejects_nodes_reaching_the_path_slice(length, status, tmp_path, capsys):
+    """Slice 8 carries the path; a node of length 9 would answer it too."""
+    family = tmp_path / "family.txt"
+    family.write_text("".join(f"{k}: pattern 10\n" for k in range(10)))
+    node = ",".join(["0"] * (length - 1) + ["1"])
+    code, lines = run_cli("extract-bound", "--realizer", str(ASM_DIR / "first_bit.asm"),
+                          "--family", str(family), "--node", node)
+    err = capsys.readouterr().err
+    assert code == status and "Traceback" not in err
+    if status == 2:
+        assert lines == [] and "error: a node of length 9 reaches path slice 8" in err
+    else:
+        assert lines == ["bound 1", "0 0", "1 1"]
+
+
+def _decider_loop_files(tmp_path) -> dict[str, Path]:
+    loop = tmp_path / "loop.asm"
+    loop.write_text("loop: JMP loop\n")
+    family = tmp_path / "family.txt"
+    family.write_text("0: pattern 10\n1: loop.asm\n")
+    probe = tmp_path / "probe.asm"
+    probe.write_text("INC r1\nQUERY r1 r0\nHALT\n")  # asks pair(1, 0) = 1
+    return {"loop": loop, "family": family, "probe": probe}
+
+
+@pytest.mark.parametrize("command", ["census", "eval"])
+def test_non_settling_deciders_exit_2(command, tmp_path, capsys):
+    files = _decider_loop_files(tmp_path)
+    if command == "census":
+        argv = ("census", "--tree", f"decider {files['loop']}", "--fuel", "50")
+        message = "error: decider exceeded fuel 50 at input 0"
+    else:  # node 0,0 opens slice 1, whose ground real loops
+        argv = ("eval", str(files["probe"]), "0", "--family", str(files["family"]),
+                "--node", "0,0")
+        message = "error: decider exceeded fuel 100000 at input 0"
+    assert run_cli(*argv) == (2, [])
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_verify_bound_exit_codes(tmp_path):
     assert run_cli("verify-bound", "--bar", "depth 3", "--depth", "3") == (0, ["verified true"])
     code, lines = run_cli("verify-bound", "--bar", "depth 3", "--depth", "2")
@@ -250,6 +306,14 @@ def test_negative_or_non_numeric_counts_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert "expected a natural number" in err
     assert "Traceback" not in err
+
+
+def test_census_and_wwkl_take_no_node(capsys):
+    for command in ("census", "wwkl"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--tree", "zeros", "--node", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --node 1" in capsys.readouterr().err
 
 
 def test_check_suites_pass():
@@ -301,3 +365,72 @@ def test_default_family_has_six_slices():
     family = default_family()
     assert len(family) == 6
     assert family[0].contains(0) and not family[0].contains(1)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the argument parser and the input files
+
+@pytest.fixture(scope="module")
+def fuzz_vocabulary(tmp_path_factory) -> tuple[list[str], dict[str, list[str]]]:
+    """Argument values, and per command a cheap baseline the values override."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    files = _decider_loop_files(tmp)
+    ten = tmp / "ten.txt"
+    ten.write_text("".join(f"{k}: pattern 01\n" for k in range(10)))
+    table = tmp / "bar.tbl"
+    table.write_text("0\n10\n11\n")
+    bad_table = tmp / "bad.tbl"
+    bad_table.write_text("0\n2\n")
+    paths = [str(p) for p in sorted(ASM_DIR.glob("*.asm"))] + [
+        str(files["loop"]), str(files["probe"]), str(files["family"]), str(ten),
+        str(table), str(tmp / "missing.asm"), str(tmp),
+    ]
+    values = paths + [
+        "0", "1", "2", "3", "-1", "-7", "x", "1.5", "", "76",
+        "0,1", "1,x", ",", "0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0,1",
+        "full", "zeros", "kleene", "kleene 0,2", "kleene 1,x", 'kleene "',
+        "at-most-k-ones 1", "at-most-k-ones", "at-most-k-ones -1", "bogus",
+        f"decider {files['loop']}", f"decider {ASM_DIR / 'parity.asm'} 0,1",
+        f"decider {tmp / 'missing.asm'}", "decider",
+        "depth 2", "depth x", f"table {table}", f"table {bad_table}", "table",
+        "persistence", "lemma1", "extraction", "census",
+    ]
+    first_bit = str(ASM_DIR / "first_bit.asm")
+    baseline = {
+        "asm": [], "encode": [], "decode": [],
+        "eval": ["--fuel", "2000"],
+        "kleene": ["--depth", "6"],
+        "census": ["--tree", "zeros", "--depth", "5", "--fuel", "2000"],
+        "wwkl": ["--tree", "zeros", "--max", "5", "--fuel", "2000"],
+        "extract-bound": ["--realizer", first_bit, "--max", "5", "--fuel", "20000"],
+        "verify-bound": ["--bar", "depth 2", "--depth", "3", "--fuel", "2000"],
+        "check": ["--trials", "3", "--depth", "4", "--fuel", "2000"],
+    }
+    return values, baseline
+
+
+FLAGS = ["--node", "--family", "--fuel", "--depth", "--max", "--tree", "--bar",
+         "--realizer", "--trials"]
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(fuzz_vocabulary, data):
+    """Any mix of commands, flags and (mostly bad) values ends in a documented
+    exit code; baseline arguments come first, so drawn ones override them."""
+    values, baseline = fuzz_vocabulary
+    command = data.draw(st.sampled_from(sorted(baseline)))
+    positionals = data.draw(st.lists(st.sampled_from(values), max_size=2))
+    options = data.draw(st.lists(st.tuples(st.sampled_from(FLAGS), st.sampled_from(values)),
+                                 max_size=3))
+    extra = data.draw(st.lists(st.sampled_from(["--scan", "--", "-x"] + values), max_size=1))
+    argv = [command, *positionals, *baseline[command],
+            *(token for option in options for token in option), *extra]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            status = exc.code
+    assert status in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -41,6 +41,7 @@ from fanlab.machine import (
     pair,
     run,
 )
+from fanlab.kripke import GroundReal, node_oracle
 from fanlab.trees import bits_to_code
 
 EMPTY_REALIZER = encode_program(())
@@ -82,6 +83,20 @@ def test_routed_oracle_splits_channels():
     assert routed.answer(5) == Answer.YES
     assert routed.answer(6) == Answer.BLOCKED
     assert path.use == 2  # only the path-slice queries touched the path
+
+
+def test_bar_realizer_rejects_a_node_that_reaches_the_path_slice():
+    family = (GroundReal(pattern=(1, 0)),) * (PATH_SLICE + 2)
+    with pytest.raises(ValueError, match="reaches path slice 8"):
+        BarRealizer(SPLIT, node_oracle(family, (0,) * (PATH_SLICE + 1)))
+    # One slice short of it, the node answers below the path and the path
+    # still answers on its own slice.
+    realizer = BarRealizer(SPLIT, node_oracle(family, (0,) * PATH_SLICE))
+    assert extract_bound(realizer).n == 2
+    routed = RoutedOracle(realizer.base_oracle, PathOracle.zero_extended((1,)))
+    assert routed.answer(pair(PATH_SLICE - 1, 0)) == Answer.YES
+    assert routed.answer(pair(PATH_SLICE, 0)) == Answer.YES
+    assert routed.answer(pair(PATH_SLICE, 1)) == Answer.NO
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +220,8 @@ def test_extraction_stage_limit_reports_uncovered():
         extract_bound(BarRealizer(take5), n_max=3)
     exc = info.value
     assert exc.reason == "stage limit" and exc.stage == 3
+    assert exc.sequence is None and exc.steps is None
+    assert str(exc) == "no uniform bound by stage 3 (8 uncovered, stage limit)"
     # The diagnostic census must match a brute-force recount.
     assert exc.uncovered == tuple(product((0, 1), repeat=3))
 
@@ -216,6 +233,10 @@ def test_extraction_fuel_exhaustion_reports_stage():
     assert info.value.reason == "realizer fuel"
     assert info.value.stage == 0
     assert info.value.uncovered == ((),)
+    assert info.value.sequence == () and info.value.steps == 300
+    assert str(info.value) == (
+        "no uniform bound by stage 0 (1 uncovered, realizer fuel: sequence - used 300 steps)"
+    )
 
 
 # ---------------------------------------------------------------------------

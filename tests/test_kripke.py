@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from fanlab.kripke import (
     GroundReal,
+    all_nodes,
     check_slice_access,
     flip_set,
     format_node,
@@ -32,7 +33,7 @@ from fanlab.machine import (
     unpair,
 )
 
-from helpers import all_nodes, max_slice_probe_program
+from helpers import max_slice_probe_program
 
 EVENS = GroundReal(pattern=(1, 0))
 FAMILY = (

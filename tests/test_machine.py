@@ -21,7 +21,6 @@ from fanlab.machine import (
     Answer,
     Query,
     QueryTrace,
-    apply,
     curry,
     curry_overhead,
     decode_instruction,
@@ -240,16 +239,16 @@ def test_blocking_query_not_in_trace():
 
 
 # ---------------------------------------------------------------------------
-# apply / curry
+# application / curry
 
 def test_apply_is_eval():
-    assert apply(76, 7, BLOCK_ALL, 10) == Converged(7)
+    assert evaluate(76, 7, BLOCK_ALL, 10) == Converged(7)
 
 
 def test_apply_on_non_canonical_code():
     c = 10**9 + 7
     canon = encode_program(decode_program(c))
-    assert apply(c, 3, BLOCK_ALL, 10**4) == apply(canon, 3, BLOCK_ALL, 10**4)
+    assert evaluate(c, 3, BLOCK_ALL, 10**4) == evaluate(canon, 3, BLOCK_ALL, 10**4)
 
 
 def test_curry_identity_example():

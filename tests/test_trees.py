@@ -18,7 +18,6 @@ from fanlab.trees import (
     IncoherentBranch,
     at_most_ones_tree,
     bits_to_code,
-    branch_to_decider,
     check_prefix_closed,
     code_to_bits,
     format_bits,
@@ -125,14 +124,14 @@ def test_level_counts_for_reference_trees():
 def test_frontier_matches_full_scan():
     for tree in [full_tree(), zeros_tree(), at_most_ones_tree(1), kleene_tree()]:
         for n in range(9):
-            assert level_count(tree, n, method="frontier") == full_scan_count(tree, n)
+            assert level_count(tree, n) == full_scan_count(tree, n)
 
 
 def test_census_counts_shape():
     census = level_census(at_most_ones_tree(2), 6)
-    assert census.counts[0] == 1
+    assert census[0] == 1
     for n in range(6):
-        assert census.counts[n + 1] <= 2 * census.counts[n]
+        assert census[n + 1] <= 2 * census[n]
 
 
 def _random_pruned_tree(seed: int) -> DecidableTree:
@@ -145,7 +144,7 @@ def _random_pruned_tree(seed: int) -> DecidableTree:
     def member(bits) -> bool:
         return all(alive(bits[:k]) for k in range(1, len(bits) + 1))
 
-    return DecidableTree.from_predicate(member, label=f"pruned{seed}")
+    return DecidableTree(member)
 
 
 def test_measure_upper_examples_and_monotonicity():
@@ -158,7 +157,7 @@ def test_measure_upper_examples_and_monotonicity():
 
 
 def test_prefix_closure_checker_catches_violation():
-    broken = DecidableTree.from_predicate(lambda b: b != (0,), label="gap")
+    broken = DecidableTree(lambda b: b != (0,))
     bad = check_prefix_closed(broken, 3)
     assert (0, 0) in bad
 
@@ -212,15 +211,13 @@ def test_leftmost_path_reference_trees():
 
 
 def test_leftmost_path_skips_pruned_left_subtree():
-    pruned = DecidableTree.from_predicate(
-        lambda b: not (len(b) >= 3 and b[0] == 0), label="no-left-past-2"
-    )
+    pruned = DecidableTree(lambda b: not (len(b) >= 3 and b[0] == 0))
     path = leftmost_path(pruned, 5)
     assert path is not None and path[0] == 1
 
 
 def test_leftmost_path_none_when_tree_dies():
-    stub = DecidableTree.from_predicate(lambda b: len(b) <= 2, label="stub")
+    stub = DecidableTree(lambda b: len(b) <= 2)
     assert leftmost_path(stub, 3) is None
 
 
@@ -229,7 +226,7 @@ def test_leftmost_path_none_when_tree_dies():
 
 def test_zeros_branch_accepts_exactly_zeros():
     rb = encode_program(branch_program(pattern_prefix_codes((0,), 10)))
-    decider = branch_to_decider(rb)
+    decider = BranchDecider(rb)
     assert decider.contains((0, 0, 0, 0))
     assert not decider.contains((0, 1, 0))
     assert not decider.contains((1,))
@@ -238,7 +235,7 @@ def test_zeros_branch_accepts_exactly_zeros():
 @pytest.mark.parametrize("pattern", [(1, 0), (1, 1, 0), (0, 1, 1, 0)])
 def test_pattern_branch_matches_direct_lookup(pattern):
     rb = encode_program(branch_program(pattern_prefix_codes(pattern, 10)))
-    decider = branch_to_decider(rb, fuel=10**7)
+    decider = BranchDecider(rb, fuel=10**7)
     for m in range(11):
         expected = pattern_bits(pattern, m)
         assert decider.contains(expected)
@@ -263,7 +260,7 @@ def test_branch_wrong_length_raises():
     codes = pattern_prefix_codes((1, 0), 11)[1:]
     rb = encode_program(branch_program(codes))
     with pytest.raises(IncoherentBranch):
-        branch_to_decider(rb, fuel=10**7).contains((1, 0, 1))
+        BranchDecider(rb, fuel=10**7).contains((1, 0, 1))
 
 
 def test_branch_chain_break_raises():
@@ -271,7 +268,7 @@ def test_branch_chain_break_raises():
     codes = pattern_prefix_codes((0,), 10)
     codes[3] = bits_to_code((0, 1, 0))
     rb = encode_program(branch_program(codes))
-    decider = branch_to_decider(rb)
+    decider = BranchDecider(rb)
     decider.contains((0, 0))
     with pytest.raises(IncoherentBranch):
         decider.contains((0, 1, 0))
@@ -280,4 +277,4 @@ def test_branch_chain_break_raises():
 def test_branch_non_canonical_output_raises():
     loop = encode_program(branch_program([pair(1, 5)]))  # not a sequence code
     with pytest.raises(IncoherentBranch):
-        branch_to_decider(loop).contains(())
+        BranchDecider(loop).contains(())
