@@ -2,22 +2,24 @@
 """Scan the diagonal tree: level widths, the canonical witness, and the
 first level where the frontier visibly fans out.
 
-The tree stays width 1 for a long stretch because small codes decode to
-programs that diverge or block on their own index, so no parity gets
-forced.  The first interesting index is the smallest self-halting code,
-and past it every member must carry the matching flipped bit.  Run with
---deep to watch that happen (the default deep level is just past the
-first forcing index).
+The tree stays width 1 for a long stretch because most small codes
+converge on their own index within a few steps, and each such index
+forces the bit at its position.  Width doubles at every position whose
+self-run does not converge in time; the first is 13.  Position p is
+forced at level L iff {p}(p) converges within L steps, which a settle
+table answers without building the level, so even --deep 200 (65,536
+members) takes well under a second.
 
 Examples:
     python3 scripts/kleene_scan.py
     python3 scripts/kleene_scan.py --depth 14 --deep 80
+    python3 scripts/kleene_scan.py --deep 200
 """
 
 import argparse
 
 from fanlab.machine import BLOCK_ALL
-from fanlab.trees import format_bits, kleene_tree, kleene_witness, levels
+from fanlab.trees import SettleTable, format_bits, level_census
 
 
 def main() -> None:
@@ -28,25 +30,22 @@ def main() -> None:
                     help="also sample this single deep level (default 77)")
     args = ap.parse_args()
 
-    tree = kleene_tree()
+    table = SettleTable(BLOCK_ALL)
+    tree = table.tree()
     print(f"levels 0..{args.depth}")
-    for n, frontier in levels(tree, args.depth):
-        print(f"  level {n:3d} width {len(frontier)}")
-    witness = kleene_witness(BLOCK_ALL, args.depth)
+    for n, width in enumerate(level_census(tree, args.depth)):
+        print(f"  level {n:3d} width {width}")
+    witness = table.witness(args.depth)
     print(f"witness at depth {args.depth}: {format_bits(witness)}")
     assert tree.contains(witness)
 
     if args.deep > args.depth:
-        deep_frontier = None
-        for _, frontier in levels(tree, args.deep):
-            deep_frontier = frontier
-        free = [p for p in range(args.deep)
-                if len({member[p] for member in deep_frontier}) == 2]
-        print(f"level {args.deep} width {len(deep_frontier)}")
+        forced = {p for p in range(args.deep) if table.value_within(p, args.deep) is not None}
+        free = [p for p in range(args.deep) if p not in forced]
+        print(f"level {args.deep} width {tree.count(args.deep)}")
         print(f"  positions free to vary: {free}")
-        forced = [p for p in range(args.deep) if p not in set(free)]
         deepest = max(forced)
-        value = deep_frontier[0][deepest]
+        value = table.witness(args.deep)[deepest]
         print(f"  deepest forced position: {deepest} "
               f"(every member carries a {value} there)")
 

@@ -184,6 +184,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise CliInputError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _program_arg(value: str) -> int:
@@ -343,11 +345,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_kleene(args) -> int:
-    oracle = _node_oracle(_family(args), args.node)
-    tree = trees.kleene_tree(oracle)
-    for n, frontier in trees.levels(tree, args.depth):
-        print(f"level {n} {len(frontier)}")
-    witness = trees.kleene_witness(oracle, args.depth)
+    table = trees.SettleTable(_node_oracle(_family(args), args.node))
+    tree = table.tree()
+    for n, count in enumerate(trees.level_census(tree, args.depth)):
+        print(f"level {n} {count}")
+    witness = table.witness(args.depth)
     print(f"witness {format_bits(witness)}")
     if not tree.contains(witness):
         print("witness-check fail")

@@ -36,7 +36,10 @@ def parse_node(text: str) -> Node:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(part) for part in text.split(","))
+    node = tuple(int(part) for part in text.split(","))
+    if any(i < 0 for i in node):
+        raise ValueError(f"node entries must be naturals: {text!r}")
+    return node
 
 
 def format_node(node: Node) -> str:

@@ -8,7 +8,9 @@ programs run over an oracle.  The central construction is the diagonal
 has a self-application that settles within n steps to a value agreeing with
 b at position e.  Survival only ever depends on runs that already settled,
 so the tree is prefix-closed and every level is inhabited by the sequence
-that dodges each settled run.
+that dodges each settled run.  Level n therefore holds exactly
+2^(n - k(n)) sequences, k(n) being the number of e < n whose self-run
+converges within n steps; a `SettleTable` answers that from one run per e.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from typing import Callable, Iterator
 from .machine import (
     BLOCK_ALL,
     DEFAULT_FUEL,
-    Blocked,
     Converged,
     DeciderPartial,
+    EvalOutcome,
+    OutOfFuel,
     Oracle,
     pair,
     run,
@@ -73,7 +76,12 @@ def parse_bits(text: str) -> Bits:
 
 @dataclass(frozen=True)
 class DecidableTree:
+    """A membership test, plus the exact level-n member count when the tree
+    knows it in closed form; censuses then use the count, and `levels` and
+    `full_scan_count` stay the references built on `contains` alone."""
+
     membership: Callable[[Bits], bool]
+    count: Callable[[int], int] | None = None
 
     def contains(self, bits) -> bool:
         return bool(self.membership(tuple(bits)))
@@ -102,35 +110,56 @@ def at_most_ones_tree(k: int) -> DecidableTree:
 # ---------------------------------------------------------------------------
 # Diagonal tree
 
-class _SelfRunTable:
-    """Cached bounded self-applications, one oracle per table.
+class SettleTable:
+    """How each self-application {e}(e) over one oracle settles.
 
-    Sound to cache because runs are deterministic and a run that settles
-    (converges or blocks) at step s looks the same under every budget >= s.
+    One entry per index e: the outcome and steps of its largest run so far.
+    Runs are deterministic and fuel-monotone, and a run out of fuel stops
+    exactly at `steps == fuel`, so the run at the largest budget probed
+    answers every smaller budget: e converges within n iff its entry
+    converged with `steps <= n`.  A budget beyond the probed one reruns e at
+    `max(n, 2 * probed)`, so budgets that creep up one at a time still cost
+    only logarithmically many runs.
     """
 
     def __init__(self, oracle: Oracle):
         self._oracle = oracle
-        self._settled: dict[int, tuple[str, int, int]] = {}  # e -> kind, steps, value
-        self._probed: dict[int, int] = {}  # e -> largest budget that ran dry
+        self._entries: dict[int, tuple[EvalOutcome, int]] = {}  # e -> outcome, steps
 
-    def value_within(self, e: int, fuel: int) -> int | None:
-        """Converged value of running e on itself within `fuel` steps, else None."""
-        hit = self._settled.get(e)
-        if hit is not None:
-            kind, steps, value = hit
-            return value if kind == "converged" and steps <= fuel else None
-        if self._probed.get(e, -1) >= fuel:
-            return None
-        res = run(e, e, self._oracle, fuel)
-        if isinstance(res.outcome, Converged):
-            self._settled[e] = ("converged", res.steps, res.outcome.value)
-            return res.outcome.value
-        if isinstance(res.outcome, Blocked):
-            self._settled[e] = ("blocked", res.steps, 0)
-            return None
-        self._probed[e] = fuel
-        return None
+    def value_within(self, e: int, n: int) -> int | None:
+        """Converged value of {e}(e) within n steps, else None."""
+        entry = self._entries.get(e)
+        if entry is None or (isinstance(entry[0], OutOfFuel) and entry[1] < n):
+            res = run(e, e, self._oracle, n if entry is None else max(n, 2 * entry[1]))
+            entry = self._entries[e] = (res.outcome, res.steps)
+        outcome, steps = entry
+        return outcome.value if isinstance(outcome, Converged) and steps <= n else None
+
+    def contains(self, bits: Bits) -> bool:
+        """b survives iff it dodges the parity of every run settled within len(b)."""
+        n = len(bits)
+        for e in range(n):
+            v = self.value_within(e, n)
+            if v is not None and bits[e] == v % 2:
+                return False
+        return True
+
+    def count(self, n: int) -> int:
+        """Members at level n: each e < n converged within n fixes one bit,
+        the others are free, so 2^(n - k(n))."""
+        forced = sum(self.value_within(e, n) is not None for e in range(n))
+        return 1 << (n - forced)
+
+    def witness(self, n: int) -> Bits:
+        """The canonical level-n member: flip every settled parity, 0 elsewhere."""
+        out = []
+        for e in range(n):
+            v = self.value_within(e, n)
+            out.append(0 if v is None else 1 - v % 2)
+        return tuple(out)
+
+    def tree(self) -> DecidableTree:
+        return DecidableTree(self.contains, self.count)
 
 
 def kleene_tree(oracle: Oracle = BLOCK_ALL) -> DecidableTree:
@@ -139,27 +168,12 @@ def kleene_tree(oracle: Oracle = BLOCK_ALL) -> DecidableTree:
     b of length n is a member iff no e < n has eval(e, e) settling within n
     steps to a value whose parity matches b(e).
     """
-    table = _SelfRunTable(oracle)
-
-    def member(bits: Bits) -> bool:
-        n = len(bits)
-        for e in range(n):
-            v = table.value_within(e, n)
-            if v is not None and bits[e] == v % 2:
-                return False
-        return True
-
-    return DecidableTree(member)
+    return SettleTable(oracle).tree()
 
 
 def kleene_witness(oracle: Oracle, n: int) -> Bits:
-    """The canonical level-n member: flip every settled parity, 0 elsewhere."""
-    table = _SelfRunTable(oracle)
-    out = []
-    for e in range(n):
-        v = table.value_within(e, n)
-        out.append(0 if v is None else 1 - v % 2)
-    return tuple(out)
+    """The canonical level-n member of `kleene_tree(oracle)`."""
+    return SettleTable(oracle).witness(n)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +197,16 @@ def full_scan_count(tree: DecidableTree, n: int) -> int:
 
 
 def level_census(tree: DecidableTree, n_max: int) -> tuple[int, ...]:
-    """Members at each level 0..n_max, by frontier expansion."""
+    """Members at each level 0..n_max: closed-form counts when the tree has
+    them (deepest level first, so each lookup runs at the largest budget
+    once), else by frontier expansion."""
+    if tree.count is not None:
+        return tuple(reversed([tree.count(n) for n in range(n_max, -1, -1)]))
     return tuple(len(front) for _, front in levels(tree, n_max))
 
 
 def level_count(tree: DecidableTree, n: int) -> int:
-    return level_census(tree, n)[n]
+    return tree.count(n) if tree.count is not None else level_census(tree, n)[n]
 
 
 def measure_upper(tree: DecidableTree, n: int) -> Fraction:
@@ -199,8 +217,12 @@ def measure_upper(tree: DecidableTree, n: int) -> Fraction:
 
 def wwkl_witness(tree: DecidableTree, n_max: int) -> int | None:
     """Least level where at least half the sequences are outside the tree."""
-    for n, frontier in levels(tree, n_max):
-        if 2 * len(frontier) <= (1 << n):
+    if tree.count is not None:
+        counts = map(tree.count, range(n_max + 1))
+    else:
+        counts = (len(frontier) for _, frontier in levels(tree, n_max))
+    for n, count in enumerate(counts):
+        if 2 * count <= (1 << n):
             return n
     return None
 
@@ -288,6 +310,7 @@ __all__ = [
     "DecidableTree",
     "DeciderPartial",
     "IncoherentBranch",
+    "SettleTable",
     "at_most_ones_tree",
     "bits_to_code",
     "check_prefix_closed",

@@ -289,6 +289,35 @@ def test_input_errors_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ("eval", str(ASM_DIR / "slice_probe.asm"), "0", "--node=0,0,-2"),
+    ("kleene", "--depth", "4", "--node=-1"),
+    ("census", "--tree", "kleene 0,-2", "--depth", "4"),
+])
+def test_negative_node_entries_exit_2(argv, capsys):
+    """A node entry names a finite flip set, so it must be a natural; a
+    negative one would shift into an infinite set."""
+    assert run_cli(*argv) == (2, [])
+    err = capsys.readouterr().err
+    assert "error: bad node" in err and "must be naturals" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["asm", "family", "decider"])
+def test_non_utf8_input_files_exit_2(command, tmp_path, capsys):
+    f = tmp_path / "binary.asm"
+    f.write_bytes(b"\xff\xfe\x00")
+    argv = {
+        "asm": ("asm", str(f)),
+        "family": ("kleene", "--depth", "2", "--family", str(f)),
+        "decider": ("census", "--tree", f"decider {f}", "--depth", "2"),
+    }[command]
+    assert run_cli(*argv) == (2, [])
+    err = capsys.readouterr().err
+    assert f"error: cannot read {f}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ("eval", "76", "7", "--fuel", "-1"),
     ("extract-bound", "--realizer", "76", "--max", "-1"),
     ("census", "--tree", "zeros", "--depth", "-3"),
@@ -381,13 +410,15 @@ def fuzz_vocabulary(tmp_path_factory) -> tuple[list[str], dict[str, list[str]]]:
     table.write_text("0\n10\n11\n")
     bad_table = tmp / "bad.tbl"
     bad_table.write_text("0\n2\n")
+    binary = tmp / "binary.asm"
+    binary.write_bytes(b"\xff\xfe\x00")
     paths = [str(p) for p in sorted(ASM_DIR.glob("*.asm"))] + [
         str(files["loop"]), str(files["probe"]), str(files["family"]), str(ten),
-        str(table), str(tmp / "missing.asm"), str(tmp),
+        str(table), str(binary), str(tmp / "missing.asm"), str(tmp),
     ]
     values = paths + [
         "0", "1", "2", "3", "-1", "-7", "x", "1.5", "", "76",
-        "0,1", "1,x", ",", "0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0,1",
+        "0,1", "0,-2", "1,x", ",", "0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0,1",
         "full", "zeros", "kleene", "kleene 0,2", "kleene 1,x", 'kleene "',
         "at-most-k-ones 1", "at-most-k-ones", "at-most-k-ones -1", "bogus",
         f"decider {files['loop']}", f"decider {ASM_DIR / 'parity.asm'} 0,1",

@@ -61,6 +61,8 @@ def test_parse_node_rejects_junk():
         parse_node("1,,2")
     with pytest.raises(ValueError):
         parse_node("a")
+    with pytest.raises(ValueError):
+        parse_node("0,0,-2")
 
 
 def test_flip_set_examples():

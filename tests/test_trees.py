@@ -1,10 +1,17 @@
 """Decidable trees: codecs, the Kleene tree, censuses, branch deciders."""
 
+import contextlib
+import io
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import fanlab.trees
+from fanlab.cli import default_family, main
+from fanlab.kripke import node_oracle, parse_node
 from fanlab.machine import (
     BLOCK_ALL,
     Converged,
@@ -16,6 +23,7 @@ from fanlab.trees import (
     BranchDecider,
     DecidableTree,
     IncoherentBranch,
+    SettleTable,
     at_most_ones_tree,
     bits_to_code,
     check_prefix_closed,
@@ -109,6 +117,112 @@ def test_kleene_witness_prefixes_nest():
     longer = kleene_witness(BLOCK_ALL, 10)
     shorter = kleene_witness(BLOCK_ALL, 6)
     assert longer[:6] == shorter
+
+
+# ---------------------------------------------------------------------------
+# Closed-form Kleene counts against the frontier and full-scan references
+
+REFERENCE_NODES = ["", "0", "1,2", "2,2", "3,0,1"]  # both count profiles to 80
+
+
+def _kleene_at(node: str) -> DecidableTree:
+    """A fresh Kleene tree (and settle table) at a default-family node."""
+    return kleene_tree(node_oracle(default_family(), parse_node(node)))
+
+
+def _plain_kleene_at(node: str) -> DecidableTree:
+    """The definition read literally: run {e}(e) at budget len(b) itself,
+    with no settle-step inference (memoised per budget, not across them)."""
+    oracle = node_oracle(default_family(), parse_node(node))
+    runs = {}
+
+    def member(bits) -> bool:
+        n = len(bits)
+        for e in range(n):
+            if (e, n) not in runs:
+                runs[e, n] = run(e, e, oracle, n).outcome
+            out = runs[e, n]
+            if isinstance(out, Converged) and bits[e] == out.value % 2:
+                return False
+        return True
+
+    return DecidableTree(member)
+
+
+@pytest.mark.parametrize("node", REFERENCE_NODES)
+def test_kleene_counts_match_levels_and_full_scan(node):
+    counts = level_census(_kleene_at(node), 80)
+    assert counts == tuple(len(frontier) for _, frontier in levels(_plain_kleene_at(node), 80))
+    assert counts == tuple(len(frontier) for _, frontier in levels(_kleene_at(node), 80))
+    scan_tree = _kleene_at(node)
+    assert counts[:13] == tuple(full_scan_count(scan_tree, n) for n in range(13))
+    tree = _kleene_at(node)
+    assert [level_count(tree, n) for n in (0, 12, 40, 80)] == [counts[n] for n in (0, 12, 40, 80)]
+
+
+def test_settle_table_doubles_the_budget(monkeypatch):
+    """{13}(13) never converges; budgets asked one at a time rerun it only
+    when they pass the probed one, and then at twice that."""
+    budgets = []
+
+    def recording_run(code, x, oracle, fuel):
+        budgets.append(fuel)
+        res = run(code, x, oracle, fuel)
+        assert res.steps == fuel  # out of fuel exactly at the budget
+        return res
+
+    monkeypatch.setattr(fanlab.trees, "run", recording_run)
+    table = SettleTable(BLOCK_ALL)
+    assert all(table.value_within(13, n) is None for n in range(1, 101))
+    assert budgets == [1, 2, 4, 8, 16, 32, 64, 128]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_settle_table_converges_within_its_exact_step(order):
+    """{76}(76) halts in exactly 1 step: converged within 1, not within 0,
+    whichever budget the table is asked first."""
+    table = SettleTable(BLOCK_ALL)
+    answers = {n: table.value_within(76, n) for n in order}
+    assert answers == {0: None, 1: 76}
+
+
+def test_kleene_level_200_pin():
+    started = time.perf_counter()
+    tree = kleene_tree()
+    assert level_count(tree, 200) == 65536
+    assert tree.contains(kleene_witness(BLOCK_ALL, 200))
+    assert time.perf_counter() - started < 1.0
+
+
+def _payload(*argv: str) -> list[str]:
+    """The CLI's record lines for a successful run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return [line for line in out.getvalue().splitlines() if not line.startswith("#")]
+
+
+def test_kleene_command_runs_each_index_once(monkeypatch):
+    real_run = fanlab.trees.run
+    runs = Counter()
+
+    def counting_run(code, x, oracle, fuel):
+        runs[code] += 1
+        return real_run(code, x, oracle, fuel)
+
+    monkeypatch.setattr(fanlab.trees, "run", counting_run)
+    assert "level 105 1024" in _payload("kleene", "--depth", "105")
+    assert runs == Counter(range(105))
+
+
+@pytest.mark.parametrize("spec", ["kleene", "kleene 1,2", "kleene 3,0,1"])
+def test_kleene_census_and_wwkl_cli_match_scan(spec):
+    census = _payload("census", "--tree", spec, "--depth", "12")
+    scan = _payload("census", "--tree", spec, "--depth", "12", "--scan")
+    assert census == scan == [f"{n} 1 {1 << n}" for n in range(13)]  # pinned literal output
+    scan_counts = [int(line.split()[1]) for line in scan]
+    first = next(n for n, count in enumerate(scan_counts) if 2 * count <= (1 << n))
+    assert _payload("wwkl", "--tree", spec, "--max", "12") == [f"witness {first}"] == ["witness 1"]
 
 
 # ---------------------------------------------------------------------------
