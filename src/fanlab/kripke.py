@@ -11,7 +11,7 @@ answers nothing and information only ever accumulates along a branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .machine import (
@@ -105,11 +105,20 @@ def layered_answer(family: Family, node: Node, query: int) -> Answer:
 
 @dataclass(frozen=True)
 class LayeredOracle:
+    """The oracle at one node.  Its family and node are fixed and deciders run
+    against BLOCK_ALL, so each query has one answer: it is computed once per
+    instance and stored.  A DeciderPartial propagates and is never stored."""
+
     family: Family
     node: Node
+    _memo: dict[int, Answer] = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def answer(self, query: int) -> Answer:
-        return layered_answer(self.family, self.node, query)
+        out = self._memo.get(query)
+        if out is None:
+            out = self._memo[query] = layered_answer(self.family, self.node, query)
+        return out
 
 
 def node_oracle(family, node) -> LayeredOracle:

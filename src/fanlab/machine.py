@@ -154,17 +154,17 @@ _TAG_INC, _TAG_DECJZ, _TAG_JMP, _TAG_QUERY, _TAG_HALT = range(5)
 
 
 def encode_instruction(ins: Instruction) -> int:
-    match ins:
-        case Inc(reg):
-            return pair(_TAG_INC, reg)
-        case Decjz(reg, target):
-            return pair(_TAG_DECJZ, pair(reg, target))
-        case Jmp(target):
-            return pair(_TAG_JMP, target)
-        case Query(src, dst):
-            return pair(_TAG_QUERY, pair(src, dst))
-        case Halt():
-            return pair(_TAG_HALT, 0)
+    kind = type(ins)  # exact-type tests: a structural match costs about 4x more
+    if kind is Inc:
+        return pair(_TAG_INC, ins.reg)
+    if kind is Decjz:
+        return pair(_TAG_DECJZ, pair(ins.reg, ins.target))
+    if kind is Jmp:
+        return pair(_TAG_JMP, ins.target)
+    if kind is Query:
+        return pair(_TAG_QUERY, pair(ins.src, ins.dst))
+    if kind is Halt:
+        return pair(_TAG_HALT, 0)
     raise TypeError(f"not an instruction: {ins!r}")
 
 

@@ -71,3 +71,28 @@ def pattern_prefix_codes(pattern: Sequence[int], depth: int) -> list[int]:
 
 def pattern_bits(pattern: Sequence[int], length: int) -> Bits:
     return tuple(pattern[i % len(pattern)] for i in range(length))
+
+
+def query_loop_program() -> Program:
+    """On input x, ask codes 0, 1, ..., x - 1 in turn and return how many
+    were answered Yes: a query every 4 to 6 steps."""
+    return (
+        Decjz(0, 6),   # 0: inputs used up -> copy the count out
+        Query(1, 2),   # 1: ask the code in r1
+        Inc(1),        # 2
+        Decjz(2, 0),   # 3: No -> next code
+        Inc(3),        # 4: Yes -> count it
+        Jmp(0),        # 5
+        Decjz(3, 9),   # 6: r0 = r3
+        Inc(0),        # 7
+        Jmp(6),        # 8
+    )
+
+
+def mod_decider_program(mod: int, residue: int) -> Program:
+    """Decides s mod `mod` == `residue` without queries: DECJZ number i of
+    the unrolled cycle finds r0 empty exactly when s mod `mod` == i."""
+    yes, no = mod + 1, mod + 3
+    prog: list[Instruction] = [Decjz(0, yes if i == residue else no) for i in range(mod)]
+    prog += [Jmp(0), Inc(0), Halt()]
+    return tuple(prog)

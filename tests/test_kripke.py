@@ -1,10 +1,12 @@
 """Layered node oracles: slice freeze, blocking, persistence, slice access."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fanlab import kripke
 from fanlab.kripke import (
     GroundReal,
     all_nodes,
@@ -23,6 +25,7 @@ from fanlab.machine import (
     Converged,
     Decjz,
     DeciderPartial,
+    FnOracle,
     Halt,
     Inc,
     Jmp,
@@ -30,10 +33,11 @@ from fanlab.machine import (
     evaluate,
     pair,
     random_program,
+    run,
     unpair,
 )
 
-from helpers import max_slice_probe_program
+from helpers import max_slice_probe_program, mod_decider_program, query_loop_program
 
 EVENS = GroundReal(pattern=(1, 0))
 FAMILY = (
@@ -245,3 +249,125 @@ def test_slice_access_at_root():
     report = check_slice_access(probe, range(3), FAMILY, ())
     assert all(isinstance(r.outcome, Blocked) for r in report.rows)
     assert report.lemma_holds
+
+
+# ---------------------------------------------------------------------------
+# Memoised answers: a node oracle against plain layered_answer
+
+QUERY_LOOP = encode_program(query_loop_program())
+
+
+def _mixed_family(rng, size):
+    """Pattern reals and mod-m decider reals; no two deciders share a code."""
+    residues = [(mod, r) for mod in range(2, 6) for r in range(mod)]
+    rng.shuffle(residues)
+    family = []
+    for _ in range(size):
+        if rng.random() < 0.5:
+            mod, r = residues.pop()
+            family.append(GroundReal(decider=encode_program(mod_decider_program(mod, r))))
+        else:
+            pattern = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 6)))
+            family.append(GroundReal(pattern=pattern))
+    return tuple(family)
+
+
+def _random_node(rng, family):
+    return tuple(rng.getrandbits(8) for _ in range(rng.randrange(len(family) + 1)))
+
+
+def _slices(res):
+    slices = {unpair(q)[0] for q, _ in res.trace.entries}
+    if isinstance(res.outcome, Blocked):
+        slices.add(unpair(res.outcome.query)[0])
+    return frozenset(slices)
+
+
+@pytest.fixture
+def decider_runs(monkeypatch):
+    """(decider code, s) -> how many times kripke ran that decider on s."""
+    calls = Counter()
+    real = kripke.run_decider
+
+    def counting(code, x, *args):
+        calls[code, x] += 1
+        return real(code, x, *args)
+
+    monkeypatch.setattr(kripke, "run_decider", counting)
+    return calls
+
+
+def test_memoised_answers_match_layered_answer():
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(60):
+        family = _mixed_family(rng, rng.randrange(1, 7))
+        node = _random_node(rng, family)
+        oracle = node_oracle(family, node)
+        # Slices up to two past the node's length, so some asks are Blocked.
+        pool = [pair(rng.randrange(len(node) + 3), rng.randrange(12)) for _ in range(20)]
+        for q in (rng.choice(pool) for _ in range(80)):
+            ans = oracle.answer(q)
+            assert ans == layered_answer(family, node, q)
+            seen[ans] += 1
+    assert all(seen[a] > 100 for a in Answer)
+
+
+def test_slice_access_matches_memo_free_oracle():
+    rng = random.Random(7)
+    for _ in range(25):
+        family = _mixed_family(rng, rng.randrange(1, 7))
+        node = _random_node(rng, family)
+        plain = FnOracle(lambda q, family=family, node=node: layered_answer(family, node, q))
+        warm = node_oracle(family, node)
+        limit = pair(len(node), 0)  # the query loop's first Blocked code
+        programs = [(QUERY_LOOP, [rng.randrange(limit + 4) for _ in range(8)])]
+        programs += [(encode_program(random_program(rng)), [rng.randrange(6) for _ in range(8)])
+                     for _ in range(6)]
+        for code, inputs in programs:
+            report = check_slice_access(code, inputs, family, node, fuel=2000)
+            assert [r.input for r in report.rows] == inputs
+            for x, row in zip(inputs, report.rows):
+                ref = run(code, x, plain, 2000)
+                assert (row.outcome, row.trace, row.slices) == (ref.outcome, ref.trace, _slices(ref))
+                assert run(code, x, warm, 2000) == ref  # outcome, steps and trace
+
+
+def test_slice_access_runs_each_decider_query_once(decider_runs):
+    deciders = [GroundReal(decider=encode_program(mod_decider_program(mod, r)))
+                for mod, r in ((2, 1), (3, 0), (4, 2), (5, 4))]
+    family = (EVENS, deciders[0], GroundReal(pattern=(1, 1, 0)), *deciders[1:])
+    node = (5, 0, 3, 9, 1, 2)
+    limit = pair(len(node), 0)
+    inputs = [limit // 2, limit, limit + 3, limit, 7, limit + 1]
+    expected = Counter()
+    for q in range(limit):
+        k, s = unpair(q)
+        if family[k].decider is not None:
+            expected[family[k].decider, s] = 1
+    report = check_slice_access(QUERY_LOOP, inputs, family, node)
+    assert report.lemma_holds
+    assert decider_runs == expected
+    # Each report builds its own oracle, so a second one starts cold.
+    check_slice_access(QUERY_LOOP, inputs, family, node)
+    assert decider_runs == expected + expected
+
+
+def test_decider_failures_are_not_memoised(decider_runs):
+    loop = GroundReal(decider=encode_program((Jmp(0),)), fuel=200)
+    oracle = node_oracle((loop,), (0,))
+    for _ in range(3):
+        with pytest.raises(DeciderPartial):
+            oracle.answer(pair(0, 4))
+    assert decider_runs == {(loop.decider, 4): 3}
+
+
+def test_warm_oracle_keeps_equality_hash_and_repr():
+    family = _mixed_family(random.Random(3), 6)
+    node = (3, 1, 4, 1, 5, 9)
+    cold, warm = node_oracle(family, node), node_oracle(family, node)
+    for q in range(80):
+        warm.answer(q)
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)

@@ -104,6 +104,12 @@ def test_out_of_range_instruction_tags_decode_to_halt():
     assert encode_instruction(Halt()) == pair(4, 0)
 
 
+@pytest.mark.parametrize("junk", [None, 0, (0,), "INC r0", Halt])
+def test_encode_instruction_rejects_non_instructions(junk):
+    with pytest.raises(TypeError, match="not an instruction"):
+        encode_instruction(junk)
+
+
 def test_encode_after_decode_is_identity_on_canonical_codes():
     rng = random.Random(7)
     for _ in range(1000):
