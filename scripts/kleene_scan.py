@@ -42,7 +42,7 @@ def main() -> None:
     if args.deep > args.depth:
         forced = {p for p in range(args.deep) if table.value_within(p, args.deep) is not None}
         free = [p for p in range(args.deep) if p not in forced]
-        print(f"level {args.deep} width {tree.count(args.deep)}")
+        print(f"level {args.deep} width {table.census(args.deep)[args.deep]}")
         print(f"  positions free to vary: {free}")
         deepest = max(forced)
         value = table.witness(args.deep)[deepest]

@@ -645,9 +645,15 @@ def main(argv: list[str] | None = None) -> int:
         return _main(list(sys.argv[1:]) if argv is None else list(argv))
 
 
+_parser: argparse.ArgumentParser | None = None  # built on first use, then reused
+
+
 def _main(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Parsing never changes the parser, and commands change only `args`.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     started = time.perf_counter()
     print(f"# fanlab {args.command} inputs {_digest(argv)}")
     try:

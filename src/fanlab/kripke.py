@@ -42,26 +42,10 @@ def parse_node(text: str) -> Node:
     return node
 
 
-def format_node(node: Node) -> str:
-    return ",".join(str(i) for i in node)
-
-
 def all_nodes(max_len: int, max_entry: int) -> list[Node]:
     """Nodes of length <= max_len with entries <= max_entry, shortest first."""
     entries = range(max_entry + 1)
     return [node for n in range(max_len + 1) for node in product(entries, repeat=n)]
-
-
-def flip_set(i: int) -> frozenset[int]:
-    """The finite set named by i: its binary digit positions.  flip_set(0) = {}."""
-    out = set()
-    pos = 0
-    while i:
-        if i & 1:
-            out.add(pos)
-        i >>= 1
-        pos += 1
-    return frozenset(out)
 
 
 @dataclass(frozen=True)

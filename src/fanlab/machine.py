@@ -92,17 +92,6 @@ class FnOracle:
         return self.fn(query)
 
 
-class MapOracle:
-    """Answers from a finite table; everything else gets `default`."""
-
-    def __init__(self, answers: dict[int, Answer], default: Answer = Answer.BLOCKED):
-        self.answers = dict(answers)
-        self.default = default
-
-    def answer(self, query: int) -> Answer:
-        return self.answers.get(query, self.default)
-
-
 # ---------------------------------------------------------------------------
 # Instructions and pairing
 
@@ -297,20 +286,24 @@ def _compile(program: Program) -> tuple[tuple[int, ...], tuple, tuple, int]:
     arg2: list = []
     maxreg = 0
     for ins in program:
-        match ins:
-            case Inc(reg):
-                ops.append(_OP_INC); arg1.append(reg); arg2.append(0)
-                maxreg = max(maxreg, reg)
-            case Decjz(reg, target):
-                ops.append(_OP_DECJZ); arg1.append(reg); arg2.append(target)
-                maxreg = max(maxreg, reg)
-            case Jmp(target):
-                ops.append(_OP_JMP); arg1.append(0); arg2.append(target)
-            case Query(src, dst):
-                ops.append(_OP_QUERY); arg1.append(src); arg2.append(dst)
-                maxreg = max(maxreg, src, dst)
-            case Halt():
-                ops.append(_OP_HALT); arg1.append(0); arg2.append(0)
+        kind = type(ins)  # exact-type tests, as in encode_instruction
+        if kind is Inc:
+            ops.append(_OP_INC); arg1.append(ins.reg); arg2.append(0)
+            if ins.reg > maxreg:
+                maxreg = ins.reg
+        elif kind is Decjz:
+            ops.append(_OP_DECJZ); arg1.append(ins.reg); arg2.append(ins.target)
+            if ins.reg > maxreg:
+                maxreg = ins.reg
+        elif kind is Jmp:
+            ops.append(_OP_JMP); arg1.append(0); arg2.append(ins.target)
+        elif kind is Query:
+            ops.append(_OP_QUERY); arg1.append(ins.src); arg2.append(ins.dst)
+            maxreg = max(maxreg, ins.src, ins.dst)
+        elif kind is Halt:
+            ops.append(_OP_HALT); arg1.append(0); arg2.append(0)
+        else:
+            raise TypeError(f"not an instruction: {ins!r}")
     _attach_macros(ops, arg1, arg2)
     return tuple(ops), tuple(arg1), tuple(arg2), maxreg
 
@@ -343,7 +336,8 @@ def _attach_macros(ops: list[int], arg1: list, arg2: list) -> None:
     length = 0
     for pc in range(n - 1, -1, -1):
         if ops[pc] != _OP_INC:
-            counts, length = Counter(), 0
+            if length:
+                counts, length = Counter(), 0
             continue
         counts[arg1[pc]] += 1
         length += 1

@@ -10,14 +10,15 @@ b at position e.  Survival only ever depends on runs that already settled,
 so the tree is prefix-closed and every level is inhabited by the sequence
 that dodges each settled run.  Level n therefore holds exactly
 2^(n - k(n)) sequences, k(n) being the number of e < n whose self-run
-converges within n steps; a `SettleTable` answers that from one run per e.
+converges within n steps; a `SettleTable` counts every level up to n_max
+from one run per e < n_max and one counting pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterator
 
 from .machine import (
@@ -76,12 +77,13 @@ def parse_bits(text: str) -> Bits:
 
 @dataclass(frozen=True)
 class DecidableTree:
-    """A membership test, plus the exact level-n member count when the tree
-    knows it in closed form; censuses then use the count, and `levels` and
-    `full_scan_count` stay the references built on `contains` alone."""
+    """A membership test, plus the exact member counts of levels 0..n_max
+    when the tree knows them in closed form; censuses then use those, and
+    `levels` and `full_scan_count` stay the references built on `contains`
+    alone."""
 
     membership: Callable[[Bits], bool]
-    count: Callable[[int], int] | None = None
+    census: Callable[[int], tuple[int, ...]] | None = None
 
     def contains(self, bits) -> bool:
         return bool(self.membership(tuple(bits)))
@@ -126,13 +128,17 @@ class SettleTable:
         self._oracle = oracle
         self._entries: dict[int, tuple[EvalOutcome, int]] = {}  # e -> outcome, steps
 
-    def value_within(self, e: int, n: int) -> int | None:
-        """Converged value of {e}(e) within n steps, else None."""
+    def _settle(self, e: int, n: int) -> tuple[EvalOutcome, int]:
+        """The entry of e, rerun first if it cannot answer budget n."""
         entry = self._entries.get(e)
         if entry is None or (isinstance(entry[0], OutOfFuel) and entry[1] < n):
             res = run(e, e, self._oracle, n if entry is None else max(n, 2 * entry[1]))
             entry = self._entries[e] = (res.outcome, res.steps)
-        outcome, steps = entry
+        return entry
+
+    def value_within(self, e: int, n: int) -> int | None:
+        """Converged value of {e}(e) within n steps, else None."""
+        outcome, steps = self._settle(e, n)
         return outcome.value if isinstance(outcome, Converged) and steps <= n else None
 
     def contains(self, bits: Bits) -> bool:
@@ -144,11 +150,17 @@ class SettleTable:
                 return False
         return True
 
-    def count(self, n: int) -> int:
-        """Members at level n: each e < n converged within n fixes one bit,
-        the others are free, so 2^(n - k(n))."""
-        forced = sum(self.value_within(e, n) is not None for e in range(n))
-        return 1 << (n - forced)
+    def census(self, n_max: int) -> tuple[int, ...]:
+        """Members at each level 0..n_max, from one settle per e < n_max at
+        budget n_max: e fixes one bit from level max(e + 1, steps_e) on if
+        its run converged within n_max, the others are free, so level n
+        holds 2^(n - k(n))."""
+        starts = [0] * (n_max + 1)
+        for e in range(n_max):
+            outcome, steps = self._settle(e, n_max)
+            if isinstance(outcome, Converged) and steps <= n_max:
+                starts[max(e + 1, steps)] += 1
+        return tuple(1 << (n - k) for n, k in enumerate(accumulate(starts)))
 
     def witness(self, n: int) -> Bits:
         """The canonical level-n member: flip every settled parity, 0 elsewhere."""
@@ -159,7 +171,7 @@ class SettleTable:
         return tuple(out)
 
     def tree(self) -> DecidableTree:
-        return DecidableTree(self.contains, self.count)
+        return DecidableTree(self.contains, self.census)
 
 
 def kleene_tree(oracle: Oracle = BLOCK_ALL) -> DecidableTree:
@@ -169,11 +181,6 @@ def kleene_tree(oracle: Oracle = BLOCK_ALL) -> DecidableTree:
     steps to a value whose parity matches b(e).
     """
     return SettleTable(oracle).tree()
-
-
-def kleene_witness(oracle: Oracle, n: int) -> Bits:
-    """The canonical level-n member of `kleene_tree(oracle)`."""
-    return SettleTable(oracle).witness(n)
 
 
 # ---------------------------------------------------------------------------
@@ -197,28 +204,23 @@ def full_scan_count(tree: DecidableTree, n: int) -> int:
 
 
 def level_census(tree: DecidableTree, n_max: int) -> tuple[int, ...]:
-    """Members at each level 0..n_max: closed-form counts when the tree has
-    them (deepest level first, so each lookup runs at the largest budget
-    once), else by frontier expansion."""
-    if tree.count is not None:
-        return tuple(reversed([tree.count(n) for n in range(n_max, -1, -1)]))
+    """Members at each level 0..n_max: the tree's closed-form census when it
+    has one, else by frontier expansion."""
+    if tree.census is not None:
+        return tree.census(n_max)
     return tuple(len(front) for _, front in levels(tree, n_max))
-
-
-def level_count(tree: DecidableTree, n: int) -> int:
-    return tree.count(n) if tree.count is not None else level_census(tree, n)[n]
 
 
 def measure_upper(tree: DecidableTree, n: int) -> Fraction:
     """Exact fraction of level n inside the tree; an upper bound on the
-    measure of the set of paths."""
-    return Fraction(level_count(tree, n), 1 << n)
+    measure of the set of paths, which WWKL's hypothesis asks to be positive."""
+    return Fraction(level_census(tree, n)[n], 1 << n)
 
 
 def wwkl_witness(tree: DecidableTree, n_max: int) -> int | None:
     """Least level where at least half the sequences are outside the tree."""
-    if tree.count is not None:
-        counts = map(tree.count, range(n_max + 1))
+    if tree.census is not None:
+        counts = tree.census(n_max)
     else:
         counts = (len(frontier) for _, frontier in levels(tree, n_max))
     for n, count in enumerate(counts):
@@ -235,25 +237,6 @@ def check_prefix_closed(tree: DecidableTree, depth: int) -> list[Bits]:
             if tree.contains(bits) and not tree.contains(bits[:-1]):
                 bad.append(bits)
     return bad
-
-
-def leftmost_path(tree: DecidableTree, depth: int) -> Bits | None:
-    """Leftmost member of the given length all of whose prefixes are members."""
-    if not tree.contains(()):
-        return None
-
-    def extend(bits: Bits) -> Bits | None:
-        if len(bits) == depth:
-            return bits
-        for i in (0, 1):
-            child = bits + (i,)
-            if tree.contains(child):
-                found = extend(child)
-                if found is not None:
-                    return found
-        return None
-
-    return extend(())
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +303,7 @@ __all__ = [
     "full_tree",
     "is_canonical_bits_code",
     "kleene_tree",
-    "kleene_witness",
-    "leftmost_path",
     "level_census",
-    "level_count",
     "levels",
     "measure_upper",
     "parse_bits",

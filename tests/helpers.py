@@ -9,8 +9,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from fanlab.fan import load_constant_block
-from fanlab.machine import Decjz, Halt, Inc, Instruction, Jmp, Program, Query
+from fanlab.machine import Answer, Decjz, FnOracle, Halt, Inc, Instruction, Jmp, Program, Query
 from fanlab.trees import Bits, bits_to_code
+
+
+def table_oracle(answers: dict[int, Answer], default: Answer = Answer.BLOCKED) -> FnOracle:
+    """Answers from a finite table; every other query gets `default`."""
+    return FnOracle(lambda q: answers.get(q, default))
 
 
 def max_slice_probe_program() -> Program:

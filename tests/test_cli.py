@@ -2,6 +2,8 @@
 
 import io
 import contextlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -368,6 +370,55 @@ def test_seed_env_fixes_randomized_suite(monkeypatch):
     code2, lines2 = run_cli("check", "persistence", "--trials", "40")
     assert code1 == code2 == 0
     assert lines1 == lines2
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+def _without_wall_time(text: str) -> list[str]:
+    return [l for l in text.splitlines() if not l.startswith("# wall-time")]
+
+
+def test_parser_built_at_most_once(monkeypatch):
+    builds = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in (["census", "--tree", "zeros", "--depth", "3"], ["kleene", "--depth", "4"],
+                 ["wwkl", "--tree", "full"], ["check", "lemma1"]):
+        for _ in range(3):
+            assert run_cli(*argv)[0] == 0
+    assert len(builds) == 1
+
+
+def test_check_defaults_do_not_leak_between_calls():
+    assert run_cli("check", "census", "--depth", "3")[1] == [
+        "census pass trees 4 depth 3 failures 0"]
+    assert run_cli("check", "census")[1] == ["census pass trees 4 depth 8 failures 0"]
+
+
+def test_bad_call_leaves_the_next_call_as_in_a_fresh_process(capsys):
+    good = ["kleene", "--depth", "20", "--node", "1,2"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "fanlab.cli", *good], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    expected = (fresh.returncode, _without_wall_time(fresh.stdout))
+    for bad in (["kleene", "--depth", "x"], ["kleene", "--node", "-1"],
+                ["census", "--tree", "bogus"], ["check", "nosuch"]):
+        try:
+            status = main(bad)
+        except SystemExit as exc:  # argparse rejects the arguments
+            status = exc.code
+        assert status == 2
+        capsys.readouterr()
+        code, out = full_output(*good)
+        assert (code, _without_wall_time(out)) == expected, bad
 
 
 # ---------------------------------------------------------------------------

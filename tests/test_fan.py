@@ -35,7 +35,6 @@ from fanlab.machine import (
     Decjz,
     Inc,
     Jmp,
-    MapOracle,
     Query,
     encode_program,
     pair,
@@ -43,6 +42,8 @@ from fanlab.machine import (
 )
 from fanlab.kripke import GroundReal, node_oracle
 from fanlab.trees import bits_to_code
+
+from helpers import table_oracle
 
 EMPTY_REALIZER = encode_program(())
 TAKE3 = encode_program(take_prefix_program(3))
@@ -75,7 +76,7 @@ def test_use_is_one_past_largest_position():
 
 
 def test_routed_oracle_splits_channels():
-    base = MapOracle({5: Answer.YES}, default=Answer.BLOCKED)
+    base = table_oracle({5: Answer.YES}, default=Answer.BLOCKED)
     path = PathOracle.zero_extended((1,))
     routed = RoutedOracle(base, path)
     assert routed.answer(pair(PATH_SLICE, 0)) == Answer.YES

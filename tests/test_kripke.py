@@ -11,8 +11,6 @@ from fanlab.kripke import (
     GroundReal,
     all_nodes,
     check_slice_access,
-    flip_set,
-    format_node,
     layered_answer,
     node_oracle,
     parse_node,
@@ -56,8 +54,8 @@ FAMILY = (
 def test_node_text_roundtrip():
     assert parse_node("") == ()
     assert parse_node("2,0,1") == (2, 0, 1)
-    assert format_node(()) == ""
-    assert format_node((2, 0, 1)) == "2,0,1"
+    for node in all_nodes(3, 11):
+        assert parse_node(",".join(map(str, node))) == node
 
 
 def test_parse_node_rejects_junk():
@@ -69,14 +67,23 @@ def test_parse_node_rejects_junk():
         parse_node("0,0,-2")
 
 
+def _flipped(entry: int, n: int = 6) -> frozenset[int]:
+    """Elements s < n of slice 0 whose answer at node (entry,) differs from
+    the ground real's: the flip set named by the entry."""
+    return frozenset(
+        s for s in range(n)
+        if layered_answer(FAMILY, (entry,), pair(0, s)) != layered_answer(FAMILY, (0,), pair(0, s))
+    )
+
+
 def test_flip_set_examples():
-    assert flip_set(0) == frozenset()
-    assert flip_set(5) == frozenset({0, 2})
-    assert flip_set(6) == frozenset({1, 2})
+    assert _flipped(0) == frozenset()
+    assert _flipped(5) == frozenset({0, 2})
+    assert _flipped(6) == frozenset({1, 2})
 
 
 def test_flip_set_enumerates_finite_sets_bijectively():
-    seen = {flip_set(i) for i in range(64)}
+    seen = {_flipped(i) for i in range(64)}
     assert len(seen) == 64
     # every subset of {0..5} appears
     assert frozenset({0, 1, 2, 3, 4, 5}) in seen
@@ -105,11 +112,10 @@ def test_blocked_iff_slice_not_yet_fixed():
 
 def test_variation_flips_exactly_the_flip_set():
     for i in range(16):
-        flips = flip_set(i)
         for s in range(12):
             base = layered_answer(FAMILY, (0,), pair(0, s))
             varied = layered_answer(FAMILY, (i,), pair(0, s))
-            if s in flips:
+            if (i >> s) & 1:  # the entry's binary digits name the flips
                 assert varied != base
             else:
                 assert varied == base

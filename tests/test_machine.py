@@ -16,7 +16,6 @@ from fanlab.machine import (
     Halt,
     Inc,
     Jmp,
-    MapOracle,
     OutOfFuel,
     Answer,
     Query,
@@ -34,6 +33,8 @@ from fanlab.machine import (
     run_decider,
     unpair,
 )
+
+from helpers import table_oracle
 
 naturals = st.integers(min_value=0)
 
@@ -142,7 +143,7 @@ def test_query_against_blocking_oracle():
 
 
 def test_query_writes_answer_bit():
-    yes = MapOracle({5: Answer.YES}, default=Answer.NO)
+    yes = table_oracle({5: Answer.YES}, default=Answer.NO)
     e = encode_program(tuple(Inc(1) for _ in range(5)) + (Query(1, 0), Halt()))
     assert evaluate(e, 3, yes, 100) == Converged(1)
     e0 = encode_program(tuple(Inc(1) for _ in range(4)) + (Query(1, 0), Halt()))
@@ -206,8 +207,8 @@ def test_fuel_monotonicity_and_exact_step_counts():
 
 def test_oracle_refinement_preserves_convergence():
     rng = random.Random(789)
-    partial = MapOracle({q: Answer.YES for q in range(0, 40, 3)}, default=Answer.BLOCKED)
-    refined = MapOracle({q: Answer.YES for q in range(0, 40, 3)}, default=Answer.NO)
+    partial = table_oracle({q: Answer.YES for q in range(0, 40, 3)}, default=Answer.BLOCKED)
+    refined = table_oracle({q: Answer.YES for q in range(0, 40, 3)}, default=Answer.NO)
     for _ in range(200):
         e = encode_program(random_program(rng))
         x = rng.randrange(6)
@@ -235,7 +236,7 @@ def test_trace_soundness():
 
 def test_blocking_query_not_in_trace():
     # Answer q=0 and q=1, block q=2: trace holds the first two only.
-    oracle = MapOracle({0: Answer.YES, 1: Answer.NO}, default=Answer.BLOCKED)
+    oracle = table_oracle({0: Answer.YES, 1: Answer.NO}, default=Answer.BLOCKED)
     e = encode_program((
         Query(1, 2), Inc(1), Query(1, 2), Inc(1), Query(1, 2), Halt(),
     ))

@@ -15,6 +15,9 @@ from fanlab.kripke import node_oracle, parse_node
 from fanlab.machine import (
     BLOCK_ALL,
     Converged,
+    OutOfFuel,
+    QueryTrace,
+    RunResult,
     encode_program,
     pair,
     run,
@@ -33,10 +36,7 @@ from fanlab.trees import (
     full_tree,
     is_canonical_bits_code,
     kleene_tree,
-    kleene_witness,
-    leftmost_path,
     level_census,
-    level_count,
     levels,
     measure_upper,
     parse_bits,
@@ -92,7 +92,7 @@ def test_kleene_levels_nonempty_to_12():
 
 
 def test_kleene_witness_is_member_and_frozen():
-    witness = kleene_witness(BLOCK_ALL, 12)
+    witness = SettleTable(BLOCK_ALL).witness(12)
     assert kleene_tree().contains(witness)
     assert format_bits(witness) == "111000001011"
 
@@ -114,8 +114,8 @@ def test_kleene_deep_pin_at_halt_index():
 
 
 def test_kleene_witness_prefixes_nest():
-    longer = kleene_witness(BLOCK_ALL, 10)
-    shorter = kleene_witness(BLOCK_ALL, 6)
+    longer = SettleTable(BLOCK_ALL).witness(10)
+    shorter = SettleTable(BLOCK_ALL).witness(6)
     assert longer[:6] == shorter
 
 
@@ -157,7 +157,83 @@ def test_kleene_counts_match_levels_and_full_scan(node):
     scan_tree = _kleene_at(node)
     assert counts[:13] == tuple(full_scan_count(scan_tree, n) for n in range(13))
     tree = _kleene_at(node)
-    assert [level_count(tree, n) for n in (0, 12, 40, 80)] == [counts[n] for n in (0, 12, 40, 80)]
+    assert [level_census(tree, n)[n] for n in (0, 12, 40, 80)] == [counts[n] for n in (0, 12, 40, 80)]
+
+
+CENSUS_NODES = ["", "0", "1,2", "3,0,1"]
+
+
+@pytest.mark.parametrize("node", CENSUS_NODES)
+def test_census_matches_frontier_and_full_scan(node):
+    """A fresh table's census to every n_max up to 40 against the frontier
+    of a tree that knows only the membership test, and to 12 against a
+    full scan of it."""
+    oracle = node_oracle(default_family(), parse_node(node))
+    reference = DecidableTree(SettleTable(oracle).contains)
+    assert reference.census is None
+    frontier = level_census(reference, 40)
+    for n_max in range(41):
+        assert SettleTable(oracle).census(n_max) == frontier[:n_max + 1]
+    scan = tuple(full_scan_count(reference, n) for n in range(13))
+    assert SettleTable(oracle).census(12) == scan
+
+
+@pytest.mark.parametrize("node", ["", "1,2"])
+@pytest.mark.parametrize("first", [3, 20, 60, 200])
+def test_census_does_not_depend_on_probe_order(node, first):
+    """A table probed first at a smaller or a larger budget counts every
+    level as a fresh table does."""
+    oracle = node_oracle(default_family(), parse_node(node))
+    table = SettleTable(oracle)
+    table.census(first)
+    for n_max in (0, 7, 40, 105):
+        assert table.census(n_max) == SettleTable(oracle).census(n_max)
+
+
+# {e}(e) converges to value v in s steps; every other index never settles.
+LATE_SETTLES = {0: (0, 0), 1: (1, 9), 2: (0, 3), 4: (1, 4), 5: (1, 14), 6: (0, 7),
+                8: (1, 30), 9: (0, 10), 11: (1, 12)}
+
+
+def _late_run(code, x, oracle, fuel):
+    """A fuel-monotone stand-in for `run` whose self-runs settle late, past
+    level e + 1, which no small program code does."""
+    trace = QueryTrace()
+    if code in LATE_SETTLES and LATE_SETTLES[code][1] <= fuel:
+        value, steps = LATE_SETTLES[code]
+        return RunResult(Converged(value), steps, trace)
+    return RunResult(OutOfFuel(trace), fuel, trace)
+
+
+def test_census_counts_late_settles_from_their_step(monkeypatch):
+    """e fixes its bit from level max(e + 1, steps_e) on: against the literal
+    count and the frontier, for fresh tables and after a deeper probe."""
+    monkeypatch.setattr(fanlab.trees, "run", _late_run)
+    deep = SettleTable(BLOCK_ALL)
+    deep.census(40)
+    frontier = level_census(DecidableTree(SettleTable(BLOCK_ALL).contains), 20)
+    for n_max in range(40):
+        literal = tuple(
+            1 << (n - sum(1 for e, (_, s) in LATE_SETTLES.items() if e < n and s <= n))
+            for n in range(n_max + 1))
+        assert SettleTable(BLOCK_ALL).census(n_max) == literal
+        assert deep.census(n_max) == literal
+        if n_max <= 20:
+            assert literal == frontier[:n_max + 1]
+
+
+def test_census_runs_each_index_once(monkeypatch):
+    real_run = fanlab.trees.run
+    runs = Counter()
+
+    def counting_run(code, x, oracle, fuel):
+        runs[code] += 1
+        return real_run(code, x, oracle, fuel)
+
+    monkeypatch.setattr(fanlab.trees, "run", counting_run)
+    counts = SettleTable(BLOCK_ALL).census(105)
+    assert counts[105] == 1024
+    assert runs == Counter(range(105))
 
 
 def test_settle_table_doubles_the_budget(monkeypatch):
@@ -188,9 +264,9 @@ def test_settle_table_converges_within_its_exact_step(order):
 
 def test_kleene_level_200_pin():
     started = time.perf_counter()
-    tree = kleene_tree()
-    assert level_count(tree, 200) == 65536
-    assert tree.contains(kleene_witness(BLOCK_ALL, 200))
+    table = SettleTable(BLOCK_ALL)
+    assert level_census(table.tree(), 200)[200] == 65536
+    assert table.tree().contains(table.witness(200))
     assert time.perf_counter() - started < 1.0
 
 
@@ -229,16 +305,16 @@ def test_kleene_census_and_wwkl_cli_match_scan(spec):
 # Censuses and measures
 
 def test_level_counts_for_reference_trees():
-    assert level_count(full_tree(), 5) == 32
-    assert level_count(zeros_tree(), 7) == 1
-    assert level_count(kleene_tree(), 8) == 1  # regression value
-    assert [level_count(at_most_ones_tree(1), n) for n in range(7)] == [1, 2, 3, 4, 5, 6, 7]
+    assert level_census(full_tree(), 5)[5] == 32
+    assert level_census(zeros_tree(), 7)[7] == 1
+    assert level_census(kleene_tree(), 8)[8] == 1  # regression value
+    assert level_census(at_most_ones_tree(1), 6) == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_frontier_matches_full_scan():
     for tree in [full_tree(), zeros_tree(), at_most_ones_tree(1), kleene_tree()]:
         for n in range(9):
-            assert level_count(tree, n) == full_scan_count(tree, n)
+            assert level_census(tree, n)[n] == full_scan_count(tree, n)
 
 
 def test_census_counts_shape():
@@ -309,30 +385,11 @@ def test_wwkl_minimality():
         n = wwkl_witness(tree, 10)
         assert n is not None
         for m in range(n):
-            assert 2 * level_count(tree, m) > (1 << m)
+            assert 2 * level_census(tree, m)[m] > (1 << m)
 
 
 def test_wwkl_respects_n_max():
     assert wwkl_witness(at_most_ones_tree(1), 2) is None
-
-
-# ---------------------------------------------------------------------------
-# Leftmost paths
-
-def test_leftmost_path_reference_trees():
-    assert leftmost_path(full_tree(), 4) == (0, 0, 0, 0)
-    assert leftmost_path(zeros_tree(), 6) == (0,) * 6
-
-
-def test_leftmost_path_skips_pruned_left_subtree():
-    pruned = DecidableTree(lambda b: not (len(b) >= 3 and b[0] == 0))
-    path = leftmost_path(pruned, 5)
-    assert path is not None and path[0] == 1
-
-
-def test_leftmost_path_none_when_tree_dies():
-    stub = DecidableTree(lambda b: len(b) <= 2)
-    assert leftmost_path(stub, 3) is None
 
 
 # ---------------------------------------------------------------------------
