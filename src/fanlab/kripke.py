@@ -18,11 +18,15 @@ from .machine import (
     Answer,
     BLOCK_ALL,
     DEFAULT_FUEL,
+    HALT,
     Blocked,
     Converged,
     EvalOutcome,
+    Inc,
     OutOfFuel,
+    Query,
     QueryTrace,
+    pair,
     run,
     run_decider,
     unpair,
@@ -150,18 +154,20 @@ def check_slice_access(code: int, inputs, family, node,
                        fuel: int = DEFAULT_FUEL) -> SliceAccessReport:
     """Run a program at a node over many inputs and report which slices it asked."""
     oracle = node_oracle(family, node)
+    slice_of: dict[int, int] = {}  # query -> its slice; rows repeat most queries
     rows = []
     for x in inputs:
         res = run(code, x, oracle, fuel)
-        slices = {unpair(q)[0] for q, _ in res.trace.entries}
+        asked = {q for q, _ in res.trace.entries}
         if isinstance(res.outcome, Blocked):
-            slices.add(unpair(res.outcome.query)[0])
-        rows.append(SliceAccessRow(x, res.outcome, frozenset(slices), res.trace))
+            asked.add(res.outcome.query)
+        for q in asked.difference(slice_of):
+            slice_of[q] = unpair(q)[0]
+        slices = frozenset([slice_of[q] for q in asked])
+        rows.append(SliceAccessRow(x, res.outcome, slices, res.trace))
     return SliceAccessReport(tuple(node), tuple(rows))
 
 
 def slice_probe_program(k: int, s: int = 0):
     """Program that queries pair(k, s) and halts with the answer bit."""
-    from .machine import HALT, Inc, Query, pair
-
     return tuple([Inc(1)] * pair(k, s) + [Query(1, 0), HALT])

@@ -21,11 +21,26 @@ a query (``Answer.BLOCKED``) the run aborts with a ``Blocked`` outcome
 carrying that query: there is no machine-visible way to continue past an
 unanswered question.
 
-The interpreter applies straight runs of ``INC`` and transfer loops
-``h: DECJZ r x; INC a...; JMP h`` (with r not among the a's) in bulk, one
-dispatch for all ``v = r`` rounds, but still charges every step they stand
-for: ``v*(k+2)+1`` for a loop with k INCs.  Steps, outcomes and traces are
-exactly those of executing one instruction at a time, at every fuel.
+The interpreter applies transfer loops ``h: DECJZ r x; INC a...; JMP h``
+(with r not among the a's) in bulk, one dispatch for all ``v = r`` rounds,
+but still charges every step they stand for: ``v*(k+2)+1`` for a loop with k
+INCs.  Steps, outcomes and traces are exactly those of executing one
+instruction at a time, at every fuel.
+
+Block compilation
+-----------------
+A program that has run hot is compiled into one generated Python function,
+kept with its interpreter tables in the ``_compiled_from_code`` cache.  A
+program turns hot once its runs together have taken ``3000 + 100 * n`` steps,
+n its instruction count: by then the interpreter has spent about what
+generating the function costs.  Table realizers and the Kleene tree's
+programs, which run few steps in all, stay interpreted.  The function keeps
+registers in locals and dispatches only at pc 0 and jump targets; from each
+of those it runs straight through every fall-through, checks fuel once per
+such superblock and charges a loop's rounds at once.  When a superblock could
+pass the budget, it hands its state to the interpreter, so steps, outcomes
+and traces stay exactly those above: ``OutOfFuel`` at ``steps == fuel``, and
+a blocking query with the steps up to itself.
 
 Numbering
 ---------
@@ -271,13 +286,11 @@ class RunResult:
 
 
 _OP_INC, _OP_DECJZ, _OP_JMP, _OP_QUERY, _OP_HALT = range(5)
-# Macro-ops, attached only where control can enter from elsewhere (pc 0,
-# jump targets, and the first INC after a non-INC).  Each one does the work
-# of many instructions in one dispatch and charges exactly their steps.
-_OP_RUN = 5    # a straight run of INCs: arg1 (reg, count) pairs, arg2 length
-_OP_LOOP = 6   # h: DECJZ r x; INC a...; JMP h: arg1 r, arg2 (x, k + 2, pairs)
-_OP_SPIN = 7   # JMP h at h: never leaves
-_OP_WAIT = 8   # DECJZ r h at h: never leaves once r is zero
+# Macro-ops, attached at loop heads.  Each one does the work of many
+# instructions in one dispatch and charges exactly their steps.
+_OP_LOOP = 5   # h: DECJZ r x; INC a...; JMP h: arg1 r, arg2 (x, k + 2, pairs)
+_OP_SPIN = 6   # JMP h at h: never leaves
+_OP_WAIT = 7   # DECJZ r h at h: never leaves once r is zero
 
 
 def _compile(program: Program) -> tuple[tuple[int, ...], tuple, tuple, int]:
@@ -309,15 +322,8 @@ def _compile(program: Program) -> tuple[tuple[int, ...], tuple, tuple, int]:
 
 
 def _attach_macros(ops: list[int], arg1: list, arg2: list) -> None:
-    """Rewrite entry points into macro-ops, in place.
-
-    Control reaches an INC only at pc 0, at a jump target, or by falling
-    through from the instruction before it.  A RUN at each such pc that
-    starts a run or is entered from elsewhere covers every INC after it, so
-    no table per pc is needed; loops and self-loops sit at jump targets.
-    """
+    """Rewrite loop heads into macro-ops, in place."""
     n = len(ops)
-    targets = {arg2[pc] for pc in range(n) if ops[pc] in (_OP_DECJZ, _OP_JMP)}
     for h in range(n):
         if ops[h] == _OP_JMP and arg2[h] == h:
             ops[h] = _OP_SPIN
@@ -331,26 +337,27 @@ def _attach_macros(ops: list[int], arg1: list, arg2: list) -> None:
             if j < n and ops[j] == _OP_JMP and arg2[j] == h and arg1[h] not in body:
                 ops[h] = _OP_LOOP
                 arg2[h] = (arg2[h], j - h + 1, tuple(Counter(body).items()))
-    # Straight INC runs, from the back so each entry gets its run's suffix.
-    counts: Counter[int] = Counter()
-    length = 0
-    for pc in range(n - 1, -1, -1):
-        if ops[pc] != _OP_INC:
-            if length:
-                counts, length = Counter(), 0
-            continue
-        counts[arg1[pc]] += 1
-        length += 1
-        if length > 1 and (pc == 0 or ops[pc - 1] != _OP_INC or pc in targets):
-            ops[pc], arg1[pc], arg2[pc] = _OP_RUN, tuple(counts.items()), length
 
 
-@lru_cache(maxsize=4096)
-def _compiled_from_code(code: int):
-    return _compile(decode_program(code))
+def _halt(value: int, steps: int, entries) -> RunResult:
+    trace = QueryTrace(tuple(entries))
+    return RunResult(Converged(value), steps, trace)
 
 
-def _execute(compiled, x: int, oracle: Oracle, fuel: int) -> RunResult:
+def _block(query: int, steps: int, entries) -> RunResult:
+    trace = QueryTrace(tuple(entries))
+    return RunResult(Blocked(query, trace), steps, trace)
+
+
+def _out_of_fuel(fuel: int, entries) -> RunResult:
+    trace = QueryTrace(tuple(entries))
+    return RunResult(OutOfFuel(trace), fuel, trace)
+
+
+def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunResult:
+    """The single-step interpreter.  `resume` is (pc, steps, {reg: value},
+    entries): the state a block function hands over when its next block
+    would pass the budget."""
     if fuel < 0:
         raise ValueError("fuel must be a natural number")
     ops, arg1, arg2, maxreg = compiled
@@ -362,12 +369,15 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int) -> RunResult:
     pc = 0
     steps = 0
     entries: list[tuple[int, Answer]] = []
+    if resume is not None:
+        pc, steps, held, entries = resume
+        for reg, value in held.items():
+            regs[reg] = value
     answer = oracle.answer
     yes, no = Answer.YES, Answer.NO
     while True:
         if pc >= n:
-            trace = QueryTrace(tuple(entries))
-            return RunResult(Converged(regs[0]), steps, trace)
+            return _halt(regs[0], steps, entries)
         if steps == fuel:
             break
         op = ops[pc]
@@ -393,20 +403,11 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int) -> RunResult:
             elif ans is no:
                 regs[arg2[pc]] = 0
             else:
-                trace = QueryTrace(tuple(entries))
-                return RunResult(Blocked(q, trace), steps, trace)
+                return _block(q, steps, entries)
             entries.append((q, ans))
             pc += 1
-        # Macro-ops hold no query, so a budget that ends inside one ends the
+        # A LOOP holds no query, so a budget that ends inside one ends the
         # run there: OutOfFuel after exactly `fuel` steps, trace unchanged.
-        elif op == _OP_RUN:
-            length = arg2[pc]
-            steps += length - 1
-            if steps > fuel:
-                break
-            for reg, count in arg1[pc]:
-                regs[reg] += count
-            pc += length
         elif op == _OP_LOOP:
             r = arg1[pc]
             exit_pc, per_round, counts = arg2[pc]
@@ -428,15 +429,184 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int) -> RunResult:
             regs[r] -= 1
             pc += 1
         else:
-            trace = QueryTrace(tuple(entries))
-            return RunResult(Converged(regs[0]), steps, trace)
-    trace = QueryTrace(tuple(entries))
-    return RunResult(OutOfFuel(trace), fuel, trace)
+            return _halt(regs[0], steps, entries)
+    return _out_of_fuel(fuel, entries)
+
+
+# ---------------------------------------------------------------------------
+# Block compilation of hot programs
+
+def _generate(program: Program, tables) -> Callable[[int, Oracle, int], RunResult]:
+    """One Python function that runs `program` exactly as `_execute(tables, ...)`.
+
+    Registers are locals.  Control dispatches, through a binary if-tree on
+    pc, only to the heads: pc 0 and every jump target inside the program.
+    From a head, code runs on through every fall-through (past a DECJZ that
+    does not jump, a QUERY, a run of INCs) to the next jump, halt or head, so
+    each head starts one superblock.  A superblock checks fuel once, against
+    its longest path, and charges its steps when it leaves; a QUERY that
+    blocks charges the steps up to itself.  When the longest path would pass
+    the budget, the function hands its state to `_execute` at the head, which
+    then runs at most that many steps.  A LOOP macro at a head is a
+    superblock of its own that charges all its rounds at once.
+    """
+    ops, arg1, arg2, _ = tables
+    n = len(program)
+    targets = {ins.target for ins in program if type(ins) in (Decjz, Jmp)}
+    heads = sorted(t for t in targets | {0} if t < n)
+    head_set = set(heads)
+    regs = {0}
+    for ins in program:
+        kind = type(ins)
+        if kind is Inc or kind is Decjz:
+            regs.add(ins.reg)
+        elif kind is Query:
+            regs |= {ins.src, ins.dst}
+    # Locals are named by position, never by register number: every integer
+    # is a register, and one of thousands of digits cannot be written out.
+    used = sorted(regs)  # register 0 first, so its local is r0
+    r = {reg: f"r{i}" for i, reg in enumerate(used)}
+
+    def goto(target: int, more, pad: str) -> list[str]:
+        """Leave for `target` after charging `more` steps."""
+        if target >= n:
+            return [f"{pad}return _halt(r0, steps + {more}, entries)"]
+        return [f"{pad}steps += {more}", f"{pad}pc = {target}", f"{pad}continue"]
+
+    def loop(h: int, pad: str) -> list[str]:
+        reg = arg1[h]
+        exit_pc, per_round, counts = arg2[h]
+        return [f"{pad}v = {r[reg]}",
+                f"{pad}if v:",
+                f"{pad}    cost = v * {per_round} + 1",
+                f"{pad}    if steps + cost > fuel:",
+                f"{pad}        break",
+                f"{pad}    {r[reg]} = 0",
+                *(f"{pad}    {r[a]} += v{'' if c == 1 else f' * {c}'}" for a, c in counts),
+                *goto(exit_pc, "cost", pad + "    "),
+                f"{pad}if steps == fuel:",
+                f"{pad}    break",
+                *goto(exit_pc, 1, pad)]
+
+    def superblock(h: int, pad: str) -> list[str]:
+        if ops[h] == _OP_LOOP:
+            return loop(h, pad)
+        out: list[str] = []
+        pending: dict[int, int] = {}  # INCs not yet written out
+        cost = 0  # steps from the head to here
+
+        def flush() -> None:
+            out.extend(f"{pad}{r[reg]} += {c}" for reg, c in pending.items())
+            pending.clear()
+
+        pc = h
+        while True:
+            if pc >= n or (pc != h and pc in head_set):
+                flush()
+                out += goto(pc, cost, pad)
+                break
+            ins = program[pc]
+            kind = type(ins)
+            cost += 1
+            if kind is Inc:
+                pending[ins.reg] = pending.get(ins.reg, 0) + 1
+                pc += 1
+                continue
+            flush()
+            if kind is Query:
+                out += [f"{pad}q = {r[ins.src]}",
+                        f"{pad}a = answer(q)",
+                        f"{pad}if a is yes:",
+                        f"{pad}    {r[ins.dst]} = 1",
+                        f"{pad}elif a is no:",
+                        f"{pad}    {r[ins.dst]} = 0",
+                        f"{pad}else:",
+                        f"{pad}    return _block(q, steps + {cost}, entries)",
+                        f"{pad}append((q, a))"]
+            elif kind is Decjz:
+                out.append(f"{pad}if not {r[ins.reg]}:")
+                if ins.target == pc:  # never leaves once the register is 0
+                    out.append(f"{pad}    return _out_of_fuel(fuel, entries)")
+                else:
+                    out += goto(ins.target, cost, pad + "    ")
+                out.append(f"{pad}{r[ins.reg]} -= 1")
+            elif kind is Jmp:
+                out += ([f"{pad}return _out_of_fuel(fuel, entries)"] if ins.target == pc else
+                        goto(ins.target, cost, pad))
+                break
+            else:
+                out.append(f"{pad}return _halt(r0, steps + {cost}, entries)")
+                break
+            pc += 1
+        return [f"{pad}if steps + {cost} > fuel:", f"{pad}    break", *out]
+
+    def dispatch(lo: int, hi: int, pad: str) -> list[str]:
+        if hi - lo == 1:
+            return superblock(heads[lo], pad)
+        mid = (lo + hi) // 2
+        return [f"{pad}if pc < {heads[mid]}:", *dispatch(lo, mid, pad + "    "),
+                f"{pad}else:", *dispatch(mid, hi, pad + "    ")]
+
+    lines = ["def block_run(x, oracle, fuel):",
+             "    if fuel < 0:",
+             "        raise ValueError('fuel must be a natural number')",
+             "    r0 = x"]
+    if not heads:  # the empty program
+        lines.append("    return _halt(r0, 0, [])")
+    else:
+        if len(used) > 1:
+            lines.append("    " + " = ".join(r[reg] for reg in used[1:]) + " = 0")
+        lines += ["    steps = pc = 0",
+                  "    entries = []",
+                  "    append = entries.append",
+                  "    answer = oracle.answer",
+                  "    yes, no = YES, NO",
+                  "    while True:",
+                  *dispatch(0, len(heads), " " * 8),
+                  f"    held = dict(zip(REGS, ({''.join(r[reg] + ', ' for reg in used)})))",
+                  "    return _execute(tables, r0, oracle, fuel, (pc, steps, held, entries))"]
+    namespace = {"_execute": _execute, "_halt": _halt, "_block": _block,
+                 "_out_of_fuel": _out_of_fuel, "tables": tables, "REGS": tuple(used),
+                 "YES": Answer.YES, "NO": Answer.NO}
+    exec(compile("\n".join(lines), "<fanlab block code>", "exec"), namespace)
+    return namespace.pop("block_run")  # no cycle through its own globals
+
+
+class _Entry:
+    """What `run` keeps per program code: the interpreter's tables, the steps
+    run so far and, once the program is hot, its block function."""
+
+    __slots__ = ("tables", "steps", "fn")
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.steps = 0
+        self.fn = None
+
+
+@lru_cache(maxsize=4096)
+def _compiled_from_code(code: int) -> _Entry:
+    return _Entry(_compile(decode_program(code)))
 
 
 def run(code: int, x: int, oracle: Oracle = BLOCK_ALL, fuel: int = DEFAULT_FUEL) -> RunResult:
     """Run the program numbered `code` on input x with a step budget."""
-    return _execute(_compiled_from_code(code), x, oracle, fuel)
+    entry = _compiled_from_code(code)
+    if entry.fn is not None:
+        return entry.fn(x, oracle, fuel)
+    res = _execute(entry.tables, x, oracle, fuel)
+    entry.steps += res.steps
+    # Generating a block function costs about 0.3 ms plus 10 us per
+    # instruction, most of it in `compile`, and saves 100-150 ns per step of
+    # dispatch-bound code (Python 3.11, 2-vCPU host).  It is paid back after
+    # about 3,000 + 100 * n steps, n the program's length, so that is when a
+    # program turns hot: it has then spent in the interpreter what generation
+    # costs, the ski-rental rule, which never spends more than twice what the
+    # best choice in hindsight would have.  A ~1,000-instruction table
+    # realizer, run some 12,000 steps per extraction, stays interpreted.
+    if entry.steps >= 3_000 + 100 * len(entry.tables[0]):
+        entry.fn = _generate(decode_program(code), entry.tables)
+    return res
 
 
 def evaluate(code: int, x: int, oracle: Oracle = BLOCK_ALL,

@@ -1,10 +1,12 @@
 """Differential test: the machine against a plain reference interpreter.
 
-`run` compiles loops and INC runs into macro-ops that charge many steps in
-one dispatch.  Here the whole `RunResult` (outcome, steps, trace) must equal
-that of a one-instruction-per-step interpreter over Instruction tuples, on
-random programs, on loop-shaped ones and on the blocks that load constants
-in table realizers, at every fuel from 0 to two past the settle point.
+`run` compiles loops into macro-ops that charge many steps in one dispatch,
+and hot programs into generated block functions.  Here the whole `RunResult`
+(outcome, steps, trace) of both paths must equal that of a
+one-instruction-per-step interpreter over Instruction tuples, on random
+programs, on loop-shaped ones and on the blocks that load constants in table
+realizers, at every fuel from 0 to two past the settle point.  The block
+function is generated directly, whatever the program's hotness.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import defaultdict
 from fanlab import machine
 from fanlab.fan import load_constant_block
 from fanlab.machine import (
-    Answer, Blocked, Converged, Decjz, FnOracle, Inc, Instruction, Jmp, Oracle,
+    HALT, Answer, Blocked, Converged, Decjz, FnOracle, Inc, Instruction, Jmp, Oracle,
     OutOfFuel, Program, Query, QueryTrace, RunResult, encode_program, random_program,
     run,
 )
@@ -105,15 +107,20 @@ def constant_load_program(rng: random.Random) -> Program:
 
 
 def assert_same_at_every_fuel(program: Program, x: int) -> RunResult:
-    """Compare at every fuel; return the reference run at SETTLE_CAP."""
+    """Compare `run`, the interpreter and the block function at every fuel;
+    return the reference run at SETTLE_CAP.  `run` may turn the program hot
+    part-way through the sweep."""
     code = encode_program(program)
+    tables = machine._compile(program)
+    block_run = machine._generate(program, tables)
     settled = reference_run(program, x, ORACLE, SETTLE_CAP)
     top = (settled.steps + 2 if not isinstance(settled.outcome, OutOfFuel)
            else UNSETTLED_SWEEP)
-    for fuel in range(top + 1):
-        expected = reference_run(program, x, ORACLE, fuel)
+    for fuel in [*range(top + 1), SETTLE_CAP]:
+        expected = settled if fuel == SETTLE_CAP else reference_run(program, x, ORACLE, fuel)
         assert run(code, x, ORACLE, fuel) == expected, (program, x, fuel)
-    assert run(code, x, ORACLE, SETTLE_CAP) == settled, (program, x, SETTLE_CAP)
+        assert machine._execute(tables, x, ORACLE, fuel) == expected, (program, x, fuel)
+        assert block_run(x, ORACLE, fuel) == expected, (program, x, fuel, "block")
     return settled
 
 
@@ -129,7 +136,7 @@ def test_random_programs_match_reference():
         program = random_program(rng)
         seen |= macro_ops(program)
         assert_same_at_every_fuel(program, rng.randrange(6))
-    assert seen == {machine._OP_RUN, machine._OP_LOOP, machine._OP_SPIN, machine._OP_WAIT}
+    assert seen == {machine._OP_LOOP, machine._OP_SPIN, machine._OP_WAIT}
 
 
 def test_loop_shaped_programs_match_reference():
@@ -152,3 +159,61 @@ def test_constant_load_blocks_match_reference():
         long_settled += settled.steps >= 50 and not isinstance(settled.outcome, OutOfFuel)
     assert loops > 200  # every value >= 8 makes a multiplying loop
     assert long_settled > 40  # swept at every fuel through whole loops
+
+
+# Named cases for the block function.  Each is swept at every fuel above and
+# pins the one outcome that makes it interesting.
+
+def block_result(program: Program, x: int, fuel: int) -> RunResult:
+    return machine._generate(program, machine._compile(program))(x, ORACLE, fuel)
+
+
+def test_empty_program_block_function():
+    for x in range(3):
+        assert_same_at_every_fuel((), x)
+        assert block_result((), x, 0) == RunResult(Converged(x), 0, QueryTrace())
+
+
+def test_self_waiting_decjz_reached_by_a_jump():
+    """`DECJZ r1 3` at 3 is entered only by jumps, never by falling through,
+    so 3 must be a dispatch head of its own.  In the first program the jumps
+    are a JMP and a DECJZ; in the second, the exit of a LOOP macro."""
+    program = (Inc(1), Jmp(3), Inc(2), Decjz(1, 3), Inc(0), Query(0, 2), Decjz(2, 3), HALT)
+    behind_loop = (Decjz(0, 3), Inc(1), Jmp(0), Decjz(1, 3), Inc(0), Query(0, 2), HALT)
+    for x in range(4):
+        assert_same_at_every_fuel(program, x)
+        assert_same_at_every_fuel(behind_loop, x)
+    # x = 1 asks 2, is told No, jumps back to 3 with r1 empty and waits there.
+    trace = QueryTrace(((2, Answer.NO),))
+    assert block_result(program, 1, 50) == RunResult(OutOfFuel(trace), 50, trace)
+    assert block_result(program, 0, 50) == RunResult(
+        Converged(1), 7, QueryTrace(((1, Answer.YES),)))
+
+
+def test_query_blocking_inside_a_superblock():
+    """The second query blocks after 7 of the superblock's 9 steps."""
+    program = (*[Inc(1)] * 4, Query(0, 2), Inc(3), Query(1, 2), Inc(0), HALT)
+    assert_same_at_every_fuel(program, 1)
+    trace = QueryTrace(((1, Answer.YES),))
+    assert block_result(program, 1, 100) == RunResult(Blocked(4, trace), 7, trace)
+
+
+def test_superblock_crossing_the_budget():
+    """A 10-step superblock started with 5 steps left hands over to the
+    interpreter, which stops at exactly 5 with the trace so far."""
+    program = (Query(0, 1), *[Inc(2)] * 8, HALT)
+    assert_same_at_every_fuel(program, 2)
+    trace = QueryTrace(((2, Answer.NO),))
+    assert block_result(program, 2, 5) == RunResult(OutOfFuel(trace), 5, trace)
+    assert block_result(program, 2, 10) == RunResult(Converged(2), 10, trace)
+
+
+def test_loop_block_rounds_crossing_the_budget():
+    """A LOOP of 10 rounds costs 31 steps; after one query, 20 steps end
+    inside it."""
+    program = (Query(0, 2), Decjz(0, 4), Inc(1), Jmp(1), HALT)
+    assert machine._compile(program)[0][1] == machine._OP_LOOP
+    assert_same_at_every_fuel(program, 10)
+    trace = QueryTrace(((10, Answer.NO),))
+    assert block_result(program, 10, 20) == RunResult(OutOfFuel(trace), 20, trace)
+    assert block_result(program, 10, 33) == RunResult(Converged(0), 33, trace)

@@ -5,8 +5,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from fanlab import machine
 from fanlab.machine import (
     BLOCK_ALL,
+    DEFAULT_FUEL,
     Blocked,
     Converged,
     Decjz,
@@ -319,3 +321,119 @@ def test_run_decider_raises_on_loop():
 
 def test_halt_constant_exported():
     assert HALT == Halt()
+
+
+# ---------------------------------------------------------------------------
+# Block compilation: hot programs run as generated code, cold ones do not
+
+# Counts the Yes answers to queries 0, 1, ..., x-1: a query every 4-6 steps.
+QUERY_LOOP = (Decjz(0, 6), Query(1, 2), Inc(1), Decjz(2, 0), Inc(3), Jmp(0),
+              Decjz(3, 9), Inc(0), Jmp(6))
+THIRDS = FnOracle(lambda q: Answer.NO if q % 3 == 0 else Answer.YES)
+
+
+@pytest.fixture
+def generated(monkeypatch) -> list:
+    """Empties the run cache and records every block function generated."""
+    made: list = []
+    real = machine._generate
+
+    def recording(program, tables):
+        made.append(program)
+        return real(program, tables)
+
+    monkeypatch.setattr(machine, "_generate", recording)
+    machine._compiled_from_code.cache_clear()
+    yield made
+    machine._compiled_from_code.cache_clear()
+
+
+def run_until_hot(code: int, x: int, oracle=THIRDS) -> None:
+    entry = machine._compiled_from_code(code)
+    while entry.fn is None:
+        run(code, x, oracle)
+
+
+def test_block_code_lives_in_the_run_cache_entry(generated):
+    code = encode_program(QUERY_LOOP)
+    run_until_hot(code, 100)
+    assert generated == [QUERY_LOOP]
+    machine._compiled_from_code.cache_clear()
+    entry = machine._compiled_from_code(code)
+    assert entry.fn is None and entry.steps == 0
+    assert run(code, 100, THIRDS).steps == entry.steps
+    assert entry.fn is None  # interpreted again
+    run_until_hot(code, 100)
+    assert generated == [QUERY_LOOP, QUERY_LOOP]  # generated anew, not found in a cache
+    caches = {name for name, value in vars(machine).items() if hasattr(value, "cache_clear")}
+    assert caches == {"decode_program", "_compiled_from_code"}
+
+
+def test_result_is_the_same_before_and_after_turning_hot(generated):
+    code = encode_program(QUERY_LOOP)
+    fuels = [0, 1, 5, 6, 7, 100, 304, 305, 419, 420, DEFAULT_FUEL]
+    before = [run(code, 57, THIRDS, fuel) for fuel in fuels]
+    assert machine._compiled_from_code(code).fn is None
+    run_until_hot(code, 57)
+    assert [run(code, 57, THIRDS, fuel) for fuel in fuels] == before
+    assert before[-1].outcome == Converged(38) and before[-1].steps == 420
+
+
+def test_huge_register_numbers_in_block_code(generated):
+    """Every integer is a register.  Block code names its locals by position,
+    so a register number with more digits than `int` will print still runs;
+    the same result comes back when the program is cold and once it is hot."""
+    big, bigger = 10**5000, 10**6000
+    spin = (Inc(big), Jmp(0))
+    code = encode_program(spin)
+    tables = machine._compile(spin)
+    expected = machine._execute(tables, 3, BLOCK_ALL, DEFAULT_FUEL)
+    assert isinstance(expected.outcome, OutOfFuel)
+    assert run(code, 3) == expected  # turns hot
+    assert generated == [spin]
+    assert run(code, 3) == expected
+    assert run(code, 3, fuel=7) == machine._execute(tables, 3, BLOCK_ALL, 7)
+    # Two LOOP macros around a query: r_big to r_bigger, then r_bigger to r0.
+    moves = (Inc(big), Inc(big), Inc(big), Inc(0), Decjz(big, 7), Inc(bigger), Jmp(4),
+             Query(0, 1), Decjz(bigger, 11), Inc(0), Jmp(8), HALT)
+    tables = machine._compile(moves)
+    assert machine._OP_LOOP in tables[0]
+    block_run = machine._generate(moves, tables)
+    for fuel in [*range(40), DEFAULT_FUEL]:
+        assert block_run(5, THIRDS, fuel) == machine._execute(tables, 5, THIRDS, fuel)
+    assert block_run(5, THIRDS, DEFAULT_FUEL).outcome == Converged(9)
+
+
+def test_hot_program_rejects_negative_fuel(generated):
+    code = encode_program(QUERY_LOOP)
+    run_until_hot(code, 100)
+    with pytest.raises(ValueError):
+        run(code, 3, THIRDS, fuel=-1)
+
+
+def test_decider_partial_propagates_from_block_code(generated):
+    from fanlab.kripke import GroundReal, node_oracle
+
+    code = encode_program(QUERY_LOOP)
+    run_until_hot(code, 100)
+    spin = encode_program((Jmp(0),))
+    family = (GroundReal(pattern=(1, 0)), GroundReal(decider=spin, fuel=50))
+    oracle = node_oracle(family, (0, 0))
+    with pytest.raises(DeciderPartial):
+        run(code, 10, oracle)  # query 1 is pair(1, 0), in the decider's slice
+    assert 1 not in oracle._memo
+
+
+def test_cold_programs_stay_interpreted(generated, capsys):
+    from fanlab import cli, fan
+
+    rng = random.Random(1)
+    program: tuple = ()
+    while len(program) < 700:
+        table = fan.random_bar_table(rng, depth=5, stop_prob=0.2)
+        program = fan.compile_bar_table(table)
+    bound = fan.extract_bound(fan.BarRealizer(encode_program(program)))
+    assert fan.verify_uniform_bound(fan.table_bar(table), bound.n)
+    assert cli.main(["kleene", "--depth", "105"]) == 0
+    assert "level 105" in capsys.readouterr().out
+    assert generated == []
