@@ -188,11 +188,16 @@ def _read_text(path: str) -> str:
         raise CliInputError(f"cannot read {path}: not UTF-8 text") from None
 
 
+def _assemble(path: str) -> int:
+    """The code of the assembly program in the file at `path`."""
+    return encode_program(parse_assembly(_read_text(path)))
+
+
 def _program_arg(value: str) -> int:
     """A program given either as a bare code or as an assembly file path."""
     if value.isdigit():
         return int(value)
-    return encode_program(parse_assembly(_read_text(value)))
+    return _assemble(value)
 
 
 def default_family() -> Family:
@@ -223,7 +228,7 @@ def parse_family_file(path: str) -> Family:
                 raise CliInputError(f"{path}:{lineno}: pattern must be nonempty 0/1 string")
             entries[n] = GroundReal(pattern=tuple(int(c) for c in bits))
         else:
-            code = encode_program(parse_assembly(_read_text(str(base / rest))))
+            code = _assemble(str(base / rest))
             entries[n] = GroundReal(decider=code)
     if not entries:
         raise CliInputError(f"{path}: empty family file")
@@ -267,7 +272,7 @@ def parse_tree_spec(spec: str, family: Family, fuel: int) -> DecidableTree:
     if kind == "kleene" and len(rest) <= 1:
         return trees.kleene_tree(_node_oracle(family, rest[0] if rest else None))
     if kind == "decider" and 1 <= len(rest) <= 2:
-        code = encode_program(parse_assembly(_read_text(rest[0])))
+        code = _assemble(rest[0])
         oracle = _node_oracle(family, rest[1] if len(rest) == 2 else None)
         return DecidableTree.from_program(code, oracle, fuel)
     raise CliInputError(f"bad tree spec: {spec!r}")
@@ -294,7 +299,7 @@ def parse_bar_spec(spec: str, oracle, fuel: int):
     if len(toks) == 2 and toks[0] == "table":
         return fan.table_bar(parse_bar_table_file(toks[1]))
     if len(toks) == 1:
-        code = encode_program(parse_assembly(_read_text(toks[0])))
+        code = _assemble(toks[0])
         return DecidableTree.from_program(code, oracle, fuel).contains
     raise CliInputError(f"bad bar spec: {spec!r}")
 
@@ -311,7 +316,7 @@ def _cmd_asm(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    print(f"code {encode_program(parse_assembly(_read_text(args.file)))}")
+    print(f"code {_assemble(args.file)}")
     return 0
 
 

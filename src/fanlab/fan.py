@@ -312,32 +312,7 @@ def take_prefix_program(n: int) -> Program:
 
 def first_bit_split_program() -> Program:
     """Returns the length-1 prefix when the path starts 0, length-2 when 1."""
-    q0 = pair(PATH_SLICE, 0)
-    q1 = pair(PATH_SLICE, 1)
-    prog: list[Instruction] = []
-    prog.extend([Inc(5)] * q0)
-    prog.append(Query(5, 6))
-    first_zero_hole = len(prog)
-    prog.append(Jmp(0))  # patched below
-    prog.extend([Inc(5)] * (q1 - q0))
-    prog.append(Query(5, 6))
-    second_zero_hole = len(prog)
-    prog.append(Jmp(0))  # patched below
-    prog.extend([Inc(0)] * bits_to_code((1, 1)))
-    end_hole_a = len(prog)
-    prog.append(Jmp(0))  # patched below
-    second_zero_at = len(prog)
-    prog.extend([Inc(0)] * bits_to_code((1, 0)))
-    end_hole_b = len(prog)
-    prog.append(Jmp(0))  # patched below
-    first_zero_at = len(prog)
-    prog.extend([Inc(0)] * bits_to_code((0,)))
-    end = len(prog)
-    prog[first_zero_hole] = Decjz(6, first_zero_at)
-    prog[second_zero_hole] = Decjz(6, second_zero_at)
-    prog[end_hole_a] = Jmp(end)
-    prog[end_hole_b] = Jmp(end)
-    return tuple(prog)
+    return compile_bar_table({(0,), (1, 0), (1, 1)})
 
 
 LOAD_SCRATCH = 2  # load_constant_block's second register

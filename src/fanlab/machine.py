@@ -27,20 +27,23 @@ but still charges every step they stand for: ``v*(k+2)+1`` for a loop with k
 INCs.  Steps, outcomes and traces are exactly those of executing one
 instruction at a time, at every fuel.
 
-Block compilation
------------------
-A program that has run hot is compiled into one generated Python function,
-kept with its interpreter tables in the ``_compiled_from_code`` cache.  A
-program turns hot once its runs together have taken ``3000 + 100 * n`` steps,
-n its instruction count: by then the interpreter has spent about what
-generating the function costs.  Table realizers and the Kleene tree's
-programs, which run few steps in all, stay interpreted.  The function keeps
-registers in locals and dispatches only at pc 0 and jump targets; from each
-of those it runs straight through every fall-through, checks fuel once per
-such superblock and charges a loop's rounds at once.  When a superblock could
-pass the budget, it hands its state to the interpreter, so steps, outcomes
-and traces stay exactly those above: ``OutOfFuel`` at ``steps == fuel``, and
-a blocking query with the steps up to itself.
+Compiled forms
+--------------
+``run`` decodes a program once, into tables that the interpreter reads with
+registers renumbered densely (register 0 stays 0), and keeps them in one
+cache, ``_compiled_from_code``, keyed by code.  A program that has run hot is
+compiled from those tables into one generated Python function, kept in the
+same entry.  A program turns hot once its runs together have taken
+``3000 + 100 * n`` steps, n its instruction count: by then the interpreter
+has spent about what generating the function costs.  Table realizers and the
+Kleene tree's programs, which run few steps in all, stay interpreted.  The
+function keeps registers in locals and dispatches only at pc 0 and jump
+targets; from each of those it runs straight through every fall-through,
+checks fuel once per such superblock and charges a loop's rounds at once.
+When a superblock could pass the budget, it hands its state to the
+interpreter, so steps, outcomes and traces stay exactly those above:
+``OutOfFuel`` at ``steps == fuel``, and a blocking query with the steps up to
+itself.
 
 Numbering
 ---------
@@ -65,7 +68,7 @@ may name labels, which assemble to instruction indices.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -232,7 +235,6 @@ def encode_program(program: Iterable[Instruction]) -> int:
     return pair(len(codes), _encode_seq(codes))
 
 
-@lru_cache(maxsize=16384)
 def decode_program(code: int) -> Program:
     n, body = unpair(code)
     if n == 0:
@@ -294,31 +296,33 @@ _OP_WAIT = 7   # DECJZ r h at h: never leaves once r is zero
 
 
 def _compile(program: Program) -> tuple[tuple[int, ...], tuple, tuple, int]:
+    """The tables both engines run: ops, first and second arguments, and the
+    register count.  Registers are renumbered densely in order of first use,
+    register 0 staying 0; a run touches only registers its program names, so
+    no outcome, step or trace can tell."""
     ops: list[int] = []
     arg1: list = []
     arg2: list = []
-    maxreg = 0
+    index = {0: 0}
+    dense = index.setdefault
     for ins in program:
         kind = type(ins)  # exact-type tests, as in encode_instruction
         if kind is Inc:
-            ops.append(_OP_INC); arg1.append(ins.reg); arg2.append(0)
-            if ins.reg > maxreg:
-                maxreg = ins.reg
+            ops.append(_OP_INC); arg1.append(dense(ins.reg, len(index))); arg2.append(0)
         elif kind is Decjz:
-            ops.append(_OP_DECJZ); arg1.append(ins.reg); arg2.append(ins.target)
-            if ins.reg > maxreg:
-                maxreg = ins.reg
+            ops.append(_OP_DECJZ); arg1.append(dense(ins.reg, len(index)))
+            arg2.append(ins.target)
         elif kind is Jmp:
             ops.append(_OP_JMP); arg1.append(0); arg2.append(ins.target)
         elif kind is Query:
-            ops.append(_OP_QUERY); arg1.append(ins.src); arg2.append(ins.dst)
-            maxreg = max(maxreg, ins.src, ins.dst)
+            ops.append(_OP_QUERY); arg1.append(dense(ins.src, len(index)))
+            arg2.append(dense(ins.dst, len(index)))
         elif kind is Halt:
             ops.append(_OP_HALT); arg1.append(0); arg2.append(0)
         else:
             raise TypeError(f"not an instruction: {ins!r}")
     _attach_macros(ops, arg1, arg2)
-    return tuple(ops), tuple(arg1), tuple(arg2), maxreg
+    return tuple(ops), tuple(arg1), tuple(arg2), len(index)
 
 
 def _attach_macros(ops: list[int], arg1: list, arg2: list) -> None:
@@ -355,24 +359,20 @@ def _out_of_fuel(fuel: int, entries) -> RunResult:
 
 
 def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunResult:
-    """The single-step interpreter.  `resume` is (pc, steps, {reg: value},
+    """The single-step interpreter.  `resume` is (pc, steps, registers,
     entries): the state a block function hands over when its next block
     would pass the budget."""
     if fuel < 0:
         raise ValueError("fuel must be a natural number")
-    ops, arg1, arg2, maxreg = compiled
+    ops, arg1, arg2, nregs = compiled
     n = len(ops)
-    # A small dense register file is much faster; fall back to a sparse one
-    # when decoding produced absurd register indices.
-    regs = [0] * (maxreg + 1) if maxreg <= 4096 else defaultdict(int)
+    regs = [0] * nregs
     regs[0] = x
     pc = 0
     steps = 0
     entries: list[tuple[int, Answer]] = []
     if resume is not None:
-        pc, steps, held, entries = resume
-        for reg, value in held.items():
-            regs[reg] = value
+        pc, steps, regs, entries = resume
     answer = oracle.answer
     yes, no = Answer.YES, Answer.NO
     while True:
@@ -436,36 +436,27 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
 # ---------------------------------------------------------------------------
 # Block compilation of hot programs
 
-def _generate(program: Program, tables) -> Callable[[int, Oracle, int], RunResult]:
-    """One Python function that runs `program` exactly as `_execute(tables, ...)`.
+def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
+    """One Python function that runs `tables` exactly as `_execute(tables, ...)`.
 
-    Registers are locals.  Control dispatches, through a binary if-tree on
-    pc, only to the heads: pc 0 and every jump target inside the program.
-    From a head, code runs on through every fall-through (past a DECJZ that
-    does not jump, a QUERY, a run of INCs) to the next jump, halt or head, so
-    each head starts one superblock.  A superblock checks fuel once, against
-    its longest path, and charges its steps when it leaves; a QUERY that
-    blocks charges the steps up to itself.  When the longest path would pass
-    the budget, the function hands its state to `_execute` at the head, which
-    then runs at most that many steps.  A LOOP macro at a head is a
-    superblock of its own that charges all its rounds at once.
+    Register i is the local `r{i}`.  Control dispatches, through a binary
+    if-tree on pc, only to the heads: pc 0 and every jump target inside the
+    program.  A LOOP, SPIN or WAIT sits at its own jump target, so each is a
+    head.  From a head, code runs on through every fall-through (past a DECJZ
+    that does not jump, a QUERY, a run of INCs) to the next jump, halt or
+    head, so each head starts one superblock.  A superblock checks fuel once,
+    against its longest path, and charges its steps when it leaves; a QUERY
+    that blocks charges the steps up to itself.  When the longest path would
+    pass the budget, the function hands its state to `_execute` at the head,
+    which then runs at most that many steps.  A LOOP macro is a superblock of
+    its own that charges all its rounds at once.
     """
-    ops, arg1, arg2, _ = tables
-    n = len(program)
-    targets = {ins.target for ins in program if type(ins) in (Decjz, Jmp)}
+    ops, arg1, arg2, nregs = tables
+    n = len(ops)
+    targets = {arg2[pc][0] if op == _OP_LOOP else arg2[pc]
+               for pc, op in enumerate(ops) if op not in (_OP_INC, _OP_QUERY, _OP_HALT)}
     heads = sorted(t for t in targets | {0} if t < n)
     head_set = set(heads)
-    regs = {0}
-    for ins in program:
-        kind = type(ins)
-        if kind is Inc or kind is Decjz:
-            regs.add(ins.reg)
-        elif kind is Query:
-            regs |= {ins.src, ins.dst}
-    # Locals are named by position, never by register number: every integer
-    # is a register, and one of thousands of digits cannot be written out.
-    used = sorted(regs)  # register 0 first, so its local is r0
-    r = {reg: f"r{i}" for i, reg in enumerate(used)}
 
     def goto(target: int, more, pad: str) -> list[str]:
         """Leave for `target` after charging `more` steps."""
@@ -476,13 +467,13 @@ def _generate(program: Program, tables) -> Callable[[int, Oracle, int], RunResul
     def loop(h: int, pad: str) -> list[str]:
         reg = arg1[h]
         exit_pc, per_round, counts = arg2[h]
-        return [f"{pad}v = {r[reg]}",
+        return [f"{pad}v = r{reg}",
                 f"{pad}if v:",
                 f"{pad}    cost = v * {per_round} + 1",
                 f"{pad}    if steps + cost > fuel:",
                 f"{pad}        break",
-                f"{pad}    {r[reg]} = 0",
-                *(f"{pad}    {r[a]} += v{'' if c == 1 else f' * {c}'}" for a, c in counts),
+                f"{pad}    r{reg} = 0",
+                *(f"{pad}    r{a} += v{'' if c == 1 else f' * {c}'}" for a, c in counts),
                 *goto(exit_pc, "cost", pad + "    "),
                 f"{pad}if steps == fuel:",
                 f"{pad}    break",
@@ -496,7 +487,7 @@ def _generate(program: Program, tables) -> Callable[[int, Oracle, int], RunResul
         cost = 0  # steps from the head to here
 
         def flush() -> None:
-            out.extend(f"{pad}{r[reg]} += {c}" for reg, c in pending.items())
+            out.extend(f"{pad}r{reg} += {c}" for reg, c in pending.items())
             pending.clear()
 
         pc = h
@@ -505,34 +496,35 @@ def _generate(program: Program, tables) -> Callable[[int, Oracle, int], RunResul
                 flush()
                 out += goto(pc, cost, pad)
                 break
-            ins = program[pc]
-            kind = type(ins)
+            op = ops[pc]
             cost += 1
-            if kind is Inc:
-                pending[ins.reg] = pending.get(ins.reg, 0) + 1
+            if op == _OP_INC:
+                pending[arg1[pc]] = pending.get(arg1[pc], 0) + 1
                 pc += 1
                 continue
             flush()
-            if kind is Query:
-                out += [f"{pad}q = {r[ins.src]}",
+            if op == _OP_QUERY:
+                out += [f"{pad}q = r{arg1[pc]}",
                         f"{pad}a = answer(q)",
                         f"{pad}if a is yes:",
-                        f"{pad}    {r[ins.dst]} = 1",
+                        f"{pad}    r{arg2[pc]} = 1",
                         f"{pad}elif a is no:",
-                        f"{pad}    {r[ins.dst]} = 0",
+                        f"{pad}    r{arg2[pc]} = 0",
                         f"{pad}else:",
                         f"{pad}    return _block(q, steps + {cost}, entries)",
                         f"{pad}append((q, a))"]
-            elif kind is Decjz:
-                out.append(f"{pad}if not {r[ins.reg]}:")
-                if ins.target == pc:  # never leaves once the register is 0
+            elif op == _OP_DECJZ or op == _OP_WAIT:
+                out.append(f"{pad}if not r{arg1[pc]}:")
+                if op == _OP_WAIT:  # never leaves once the register is 0
                     out.append(f"{pad}    return _out_of_fuel(fuel, entries)")
                 else:
-                    out += goto(ins.target, cost, pad + "    ")
-                out.append(f"{pad}{r[ins.reg]} -= 1")
-            elif kind is Jmp:
-                out += ([f"{pad}return _out_of_fuel(fuel, entries)"] if ins.target == pc else
-                        goto(ins.target, cost, pad))
+                    out += goto(arg2[pc], cost, pad + "    ")
+                out.append(f"{pad}r{arg1[pc]} -= 1")
+            elif op == _OP_JMP:
+                out += goto(arg2[pc], cost, pad)
+                break
+            elif op == _OP_SPIN:
+                out.append(f"{pad}return _out_of_fuel(fuel, entries)")
                 break
             else:
                 out.append(f"{pad}return _halt(r0, steps + {cost}, entries)")
@@ -547,6 +539,7 @@ def _generate(program: Program, tables) -> Callable[[int, Oracle, int], RunResul
         return [f"{pad}if pc < {heads[mid]}:", *dispatch(lo, mid, pad + "    "),
                 f"{pad}else:", *dispatch(mid, hi, pad + "    ")]
 
+    regs = [f"r{i}" for i in range(nregs)]
     lines = ["def block_run(x, oracle, fuel):",
              "    if fuel < 0:",
              "        raise ValueError('fuel must be a natural number')",
@@ -554,8 +547,8 @@ def _generate(program: Program, tables) -> Callable[[int, Oracle, int], RunResul
     if not heads:  # the empty program
         lines.append("    return _halt(r0, 0, [])")
     else:
-        if len(used) > 1:
-            lines.append("    " + " = ".join(r[reg] for reg in used[1:]) + " = 0")
+        if nregs > 1:
+            lines.append("    " + " = ".join(regs[1:]) + " = 0")
         lines += ["    steps = pc = 0",
                   "    entries = []",
                   "    append = entries.append",
@@ -563,18 +556,18 @@ def _generate(program: Program, tables) -> Callable[[int, Oracle, int], RunResul
                   "    yes, no = YES, NO",
                   "    while True:",
                   *dispatch(0, len(heads), " " * 8),
-                  f"    held = dict(zip(REGS, ({''.join(r[reg] + ', ' for reg in used)})))",
-                  "    return _execute(tables, r0, oracle, fuel, (pc, steps, held, entries))"]
+                  f"    return _execute(tables, r0, oracle, fuel, "
+                  f"(pc, steps, [{', '.join(regs)}], entries))"]
     namespace = {"_execute": _execute, "_halt": _halt, "_block": _block,
-                 "_out_of_fuel": _out_of_fuel, "tables": tables, "REGS": tuple(used),
+                 "_out_of_fuel": _out_of_fuel, "tables": tables,
                  "YES": Answer.YES, "NO": Answer.NO}
     exec(compile("\n".join(lines), "<fanlab block code>", "exec"), namespace)
     return namespace.pop("block_run")  # no cycle through its own globals
 
 
 class _Entry:
-    """What `run` keeps per program code: the interpreter's tables, the steps
-    run so far and, once the program is hot, its block function."""
+    """What `run` keeps per program code: the tables both engines read, the
+    steps run so far and, once the program is hot, its block function."""
 
     __slots__ = ("tables", "steps", "fn")
 
@@ -605,7 +598,7 @@ def run(code: int, x: int, oracle: Oracle = BLOCK_ALL, fuel: int = DEFAULT_FUEL)
     # best choice in hindsight would have.  A ~1,000-instruction table
     # realizer, run some 12,000 steps per extraction, stays interpreted.
     if entry.steps >= 3_000 + 100 * len(entry.tables[0]):
-        entry.fn = _generate(decode_program(code), entry.tables)
+        entry.fn = _generate(entry.tables)
     return res
 
 

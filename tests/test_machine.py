@@ -36,7 +36,7 @@ from fanlab.machine import (
     unpair,
 )
 
-from helpers import table_oracle
+from helpers import query_loop_program, table_oracle
 
 naturals = st.integers(min_value=0)
 
@@ -326,21 +326,20 @@ def test_halt_constant_exported():
 # ---------------------------------------------------------------------------
 # Block compilation: hot programs run as generated code, cold ones do not
 
-# Counts the Yes answers to queries 0, 1, ..., x-1: a query every 4-6 steps.
-QUERY_LOOP = (Decjz(0, 6), Query(1, 2), Inc(1), Decjz(2, 0), Inc(3), Jmp(0),
-              Decjz(3, 9), Inc(0), Jmp(6))
+QUERY_LOOP = query_loop_program()
 THIRDS = FnOracle(lambda q: Answer.NO if q % 3 == 0 else Answer.YES)
 
 
 @pytest.fixture
 def generated(monkeypatch) -> list:
-    """Empties the run cache and records every block function generated."""
+    """Empties the run cache and records the tables of every block function
+    generated."""
     made: list = []
     real = machine._generate
 
-    def recording(program, tables):
-        made.append(program)
-        return real(program, tables)
+    def recording(tables):
+        made.append(tables)
+        return real(tables)
 
     monkeypatch.setattr(machine, "_generate", recording)
     machine._compiled_from_code.cache_clear()
@@ -357,16 +356,32 @@ def run_until_hot(code: int, x: int, oracle=THIRDS) -> None:
 def test_block_code_lives_in_the_run_cache_entry(generated):
     code = encode_program(QUERY_LOOP)
     run_until_hot(code, 100)
-    assert generated == [QUERY_LOOP]
+    tables = machine._compile(QUERY_LOOP)
+    assert generated == [tables]
     machine._compiled_from_code.cache_clear()
     entry = machine._compiled_from_code(code)
     assert entry.fn is None and entry.steps == 0
     assert run(code, 100, THIRDS).steps == entry.steps
     assert entry.fn is None  # interpreted again
     run_until_hot(code, 100)
-    assert generated == [QUERY_LOOP, QUERY_LOOP]  # generated anew, not found in a cache
+    assert generated == [tables, tables]  # generated anew, not found in a cache
     caches = {name for name, value in vars(machine).items() if hasattr(value, "cache_clear")}
-    assert caches == {"decode_program", "_compiled_from_code"}
+    assert caches == {"_compiled_from_code"}
+
+
+def test_a_code_is_decoded_once_from_cold_to_hot(generated, monkeypatch):
+    decoded: list[int] = []
+    real = machine.decode_program
+
+    def counting(code):
+        decoded.append(code)
+        return real(code)
+
+    monkeypatch.setattr(machine, "decode_program", counting)
+    code = encode_program(QUERY_LOOP)
+    while not generated:
+        run(code, 100, THIRDS)
+    assert decoded == [code]  # block code is generated from the cached tables
 
 
 def test_result_is_the_same_before_and_after_turning_hot(generated):
@@ -380,25 +395,27 @@ def test_result_is_the_same_before_and_after_turning_hot(generated):
 
 
 def test_huge_register_numbers_in_block_code(generated):
-    """Every integer is a register.  Block code names its locals by position,
+    """Every integer is a register.  `_compile` numbers registers densely,
     so a register number with more digits than `int` will print still runs;
     the same result comes back when the program is cold and once it is hot."""
     big, bigger = 10**5000, 10**6000
     spin = (Inc(big), Jmp(0))
     code = encode_program(spin)
     tables = machine._compile(spin)
+    assert tables[3] == 2
     expected = machine._execute(tables, 3, BLOCK_ALL, DEFAULT_FUEL)
     assert isinstance(expected.outcome, OutOfFuel)
     assert run(code, 3) == expected  # turns hot
-    assert generated == [spin]
+    assert generated == [tables]
     assert run(code, 3) == expected
     assert run(code, 3, fuel=7) == machine._execute(tables, 3, BLOCK_ALL, 7)
     # Two LOOP macros around a query: r_big to r_bigger, then r_bigger to r0.
     moves = (Inc(big), Inc(big), Inc(big), Inc(0), Decjz(big, 7), Inc(bigger), Jmp(4),
              Query(0, 1), Decjz(bigger, 11), Inc(0), Jmp(8), HALT)
     tables = machine._compile(moves)
+    assert tables[3] == 4  # r0, r1, r_big and r_bigger
     assert machine._OP_LOOP in tables[0]
-    block_run = machine._generate(moves, tables)
+    block_run = machine._generate(tables)
     for fuel in [*range(40), DEFAULT_FUEL]:
         assert block_run(5, THIRDS, fuel) == machine._execute(tables, 5, THIRDS, fuel)
     assert block_run(5, THIRDS, DEFAULT_FUEL).outcome == Converged(9)
