@@ -28,6 +28,8 @@ from typing import Callable, Iterable
 from .machine import (
     Answer,
     BLOCK_ALL,
+    NO,
+    YES,
     Blocked,
     Converged,
     Inc,
@@ -130,7 +132,7 @@ class RoutedOracle:
     def answer(self, query: int) -> Answer:
         k, s = unpair(query)
         if k == PATH_SLICE:
-            return Answer.YES if self.path.read(s) else Answer.NO
+            return YES if self.path.read(s) else NO
         return self.base.answer(query)
 
 

@@ -11,14 +11,17 @@ answers nothing and information only ever accumulates along a branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .machine import (
     Answer,
     BLOCK_ALL,
+    BLOCKED,
     DEFAULT_FUEL,
     HALT,
+    NO,
+    YES,
     Blocked,
     Converged,
     EvalOutcome,
@@ -84,29 +87,40 @@ def layered_answer(family: Family, node: Node, query: int) -> Answer:
     """Membership answer for `query` at `node`; Blocked above the frozen slices."""
     k, s = unpair(query)
     if k >= len(node):
-        return Answer.BLOCKED
+        return BLOCKED
     if k >= len(family):
         raise ValueError(f"family has no slice {k} but node {node} fixes it")
     member = family[k].contains(s) != bool((node[k] >> s) & 1)
-    return Answer.YES if member else Answer.NO
+    return YES if member else NO
+
+
+class _Answers(dict):
+    """One oracle's answers so far, by query.  A missing query is computed by
+    `layered_answer`, looked up by its module name on each miss, and stored;
+    a DeciderPartial propagates and stores nothing."""
+
+    __slots__ = ("family", "node")
+
+    def __missing__(self, query: int) -> Answer:
+        out = self[query] = layered_answer(self.family, self.node, query)
+        return out
 
 
 @dataclass(frozen=True)
 class LayeredOracle:
     """The oracle at one node.  Its family and node are fixed and deciders run
     against BLOCK_ALL, so each query has one answer: it is computed once per
-    instance and stored.  A DeciderPartial propagates and is never stored."""
+    instance and stored.  `answer` is the store's own lookup, so an answer
+    asked before costs one C-level call.  `==`, `hash` and `repr` see only
+    the family and the node."""
 
     family: Family
     node: Node
-    _memo: dict[int, Answer] = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
-    def answer(self, query: int) -> Answer:
-        out = self._memo.get(query)
-        if out is None:
-            out = self._memo[query] = layered_answer(self.family, self.node, query)
-        return out
+    def __post_init__(self):
+        answers = _Answers()
+        answers.family, answers.node = self.family, self.node
+        object.__setattr__(self, "answer", answers.__getitem__)
 
 
 def node_oracle(family, node) -> LayeredOracle:
@@ -139,6 +153,11 @@ class SliceAccessReport:
     @property
     def settled_rows(self) -> tuple[SliceAccessRow, ...]:
         return tuple(r for r in self.rows if not isinstance(r.outcome, OutOfFuel))
+
+    @property
+    def out_of_fuel(self) -> int:
+        """How many rows ran out of fuel: reported, never judged."""
+        return len(self.rows) - len(self.settled_rows)
 
     @property
     def lemma_holds(self) -> bool:

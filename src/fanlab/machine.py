@@ -21,11 +21,18 @@ a query (``Answer.BLOCKED``) the run aborts with a ``Blocked`` outcome
 carrying that query: there is no machine-visible way to continue past an
 unanswered question.
 
-The interpreter applies transfer loops ``h: DECJZ r x; INC a...; JMP h``
-(with r not among the a's) in bulk, one dispatch for all ``v = r`` rounds,
-but still charges every step they stand for: ``v*(k+2)+1`` for a loop with k
-INCs.  Steps, outcomes and traces are exactly those of executing one
-instruction at a time, at every fuel.
+The interpreter applies countdown cycles
+``h: DECJZ r x0; ...; DECJZ r x(m-1); INC a...; JMP h`` (m >= 1 tests of the
+same register r, r not among the a's, no test jumping to itself) in bulk, one
+dispatch for all their rounds, but still charges every step they stand for.
+With k INCs a round takes ``m + k + 1`` steps and m from r.  For
+``rounds, j = divmod(v, m)`` on ``v = r`` the cycle runs ``rounds`` rounds,
+then j tests that decrement and the one that finds r zero: it costs
+``rounds*(m+k+1) + j + 1`` steps, adds ``rounds`` to each a per occurrence,
+empties r and continues at ``xj``.  With m = 1 that is the transfer loop
+``h: DECJZ r x; INC a...; JMP h`` and its ``v*(k+2)+1`` steps.  Steps,
+outcomes and traces are exactly those of executing one instruction at a
+time, at every fuel.
 
 Compiled forms
 --------------
@@ -85,6 +92,11 @@ class Answer(Enum):
     BLOCKED = "Blocked"
 
 
+# Plain names for the members: on Python 3.11 each `Answer.YES` goes through
+# `EnumType.__getattr__` and costs several times a global lookup.
+YES, NO, BLOCKED = Answer.YES, Answer.NO, Answer.BLOCKED
+
+
 class Oracle(Protocol):
     def answer(self, query: int) -> Answer: ...
 
@@ -93,7 +105,7 @@ class _BlockAll:
     """The empty oracle: no query has an answer."""
 
     def answer(self, query: int) -> Answer:
-        return Answer.BLOCKED
+        return BLOCKED
 
     def __repr__(self) -> str:
         return "BLOCK_ALL"
@@ -195,16 +207,18 @@ def _encode_seq(codes: list[int]) -> int:
     nonzero = [0]  # nonzero[i]: how many of codes[:i] are not 0
     for c in codes:
         nonzero.append(nonzero[-1] + (c != 0))
+    return _encode_tree(codes, nonzero, 0, len(codes))
 
-    def tree(lo: int, hi: int) -> int:
-        if nonzero[hi] == nonzero[lo]:
-            return 0
-        if hi - lo == 1:
-            return codes[lo]
-        mid = lo + (hi - lo) // 2
-        return pair(tree(lo, mid), tree(mid, hi))
 
-    return tree(0, len(codes))
+def _encode_tree(codes: list[int], nonzero: list[int], lo: int, hi: int) -> int:
+    """The subtree over codes[lo:hi].  Module-level, so that recursing leaves
+    no closure cycle holding the whole program's lists."""
+    if nonzero[hi] == nonzero[lo]:
+        return 0
+    if hi - lo == 1:
+        return codes[lo]
+    mid = lo + (hi - lo) // 2
+    return pair(_encode_tree(codes, nonzero, lo, mid), _encode_tree(codes, nonzero, mid, hi))
 
 
 def _decode_seq(n: int, value: int) -> list[int]:
@@ -290,7 +304,10 @@ class RunResult:
 _OP_INC, _OP_DECJZ, _OP_JMP, _OP_QUERY, _OP_HALT = range(5)
 # Macro-ops, attached at loop heads.  Each one does the work of many
 # instructions in one dispatch and charges exactly their steps.
-_OP_LOOP = 5   # h: DECJZ r x; INC a...; JMP h: arg1 r, arg2 (x, k + 2, pairs)
+# LOOP is a countdown cycle h: DECJZ r x0; ...; DECJZ r x(m-1); INC a...; JMP h.
+# arg1 is r, arg2 is (exits, per_round, counts): exits (x0, ..., x(m-1)),
+# per_round m + k + 1 for k INCs, counts (a, occurrences) pairs.
+_OP_LOOP = 5
 _OP_SPIN = 6   # JMP h at h: never leaves
 _OP_WAIT = 7   # DECJZ r h at h: never leaves once r is zero
 
@@ -334,17 +351,24 @@ def _attach_macros(ops: list[int], arg1: list, arg2: list) -> None:
         elif ops[h] == _OP_DECJZ and arg2[h] == h:
             ops[h] = _OP_WAIT
         elif ops[h] == _OP_DECJZ:
-            j = h + 1
+            r = arg1[h]
+            i = h + 1  # past the tests of r; a test jumping to itself ends them
+            while i < n and ops[i] == _OP_DECJZ and arg1[i] == r and arg2[i] != i:
+                i += 1
+            j = i
             while j < n and ops[j] == _OP_INC:
                 j += 1
-            body = arg1[h + 1:j]
-            if j < n and ops[j] == _OP_JMP and arg2[j] == h and arg1[h] not in body:
+            body = arg1[i:j]
+            if j < n and ops[j] == _OP_JMP and arg2[j] == h and r not in body:
                 ops[h] = _OP_LOOP
-                arg2[h] = (arg2[h], j - h + 1, tuple(Counter(body).items()))
+                arg2[h] = (tuple(arg2[h:i]), j - h + 1, tuple(Counter(body).items()))
+
+
+_NO_QUERIES = QueryTrace()  # shared by every converged run that asked nothing
 
 
 def _halt(value: int, steps: int, entries) -> RunResult:
-    trace = QueryTrace(tuple(entries))
+    trace = QueryTrace(tuple(entries)) if entries else _NO_QUERIES
     return RunResult(Converged(value), steps, trace)
 
 
@@ -374,7 +398,7 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
     if resume is not None:
         pc, steps, regs, entries = resume
     answer = oracle.answer
-    yes, no = Answer.YES, Answer.NO
+    yes, no = YES, NO
     while True:
         if pc >= n:
             return _halt(regs[0], steps, entries)
@@ -410,16 +434,20 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
         # run there: OutOfFuel after exactly `fuel` steps, trace unchanged.
         elif op == _OP_LOOP:
             r = arg1[pc]
-            exit_pc, per_round, counts = arg2[pc]
+            exits, per_round, counts = arg2[pc]
             v = regs[r]
+            pc = exits[0]
             if v:
+                if len(exits) > 1:  # v = rounds * m + j: rounds, j tests, exit j
+                    v, j = divmod(v, len(exits))
+                    steps += j
+                    pc = exits[j]
                 steps += v * per_round  # v rounds, then the DECJZ that exits
                 if steps > fuel:
                     break
                 regs[r] = 0
                 for reg, count in counts:
                     regs[reg] += v * count
-            pc = exit_pc
         elif op == _OP_SPIN:
             break
         elif op == _OP_WAIT:
@@ -449,13 +477,17 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
     that blocks charges the steps up to itself.  When the longest path would
     pass the budget, the function hands its state to `_execute` at the head,
     which then runs at most that many steps.  A LOOP macro is a superblock of
-    its own that charges all its rounds at once.
+    its own that charges all its rounds at once and leaves by one of its exits.
     """
     ops, arg1, arg2, nregs = tables
     n = len(ops)
-    targets = {arg2[pc][0] if op == _OP_LOOP else arg2[pc]
-               for pc, op in enumerate(ops) if op not in (_OP_INC, _OP_QUERY, _OP_HALT)}
-    heads = sorted(t for t in targets | {0} if t < n)
+    targets = {0}
+    for pc, op in enumerate(ops):
+        if op == _OP_LOOP:
+            targets.update(arg2[pc][0])
+        elif op not in (_OP_INC, _OP_QUERY, _OP_HALT):
+            targets.add(arg2[pc])
+    heads = sorted(t for t in targets if t < n)
     head_set = set(heads)
 
     def goto(target: int, more, pad: str) -> list[str]:
@@ -466,18 +498,29 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
 
     def loop(h: int, pad: str) -> list[str]:
         reg = arg1[h]
-        exit_pc, per_round, counts = arg2[h]
+        exits, per_round, counts = arg2[h]
+        m = len(exits)
+        inner = pad + "    "
+        if m == 1:
+            charge = [f"{inner}cost = v * {per_round} + 1"]
+            leave = goto(exits[0], "cost", inner)
+        else:  # v = rounds * m + j: v becomes the rounds, then j tests, exit j
+            charge = [f"{inner}v, j = divmod(v, {m})",
+                      f"{inner}cost = v * {per_round} + j + 1"]
+            leave = [line for j, x in enumerate(exits[:-1])
+                     for line in (f"{inner}if j == {j}:", *goto(x, "cost", inner + "    "))]
+            leave += goto(exits[-1], "cost", inner)
         return [f"{pad}v = r{reg}",
                 f"{pad}if v:",
-                f"{pad}    cost = v * {per_round} + 1",
-                f"{pad}    if steps + cost > fuel:",
-                f"{pad}        break",
-                f"{pad}    r{reg} = 0",
-                *(f"{pad}    r{a} += v{'' if c == 1 else f' * {c}'}" for a, c in counts),
-                *goto(exit_pc, "cost", pad + "    "),
+                *charge,
+                f"{inner}if steps + cost > fuel:",
+                f"{inner}    break",
+                f"{inner}r{reg} = 0",
+                *(f"{inner}r{a} += v{'' if c == 1 else f' * {c}'}" for a, c in counts),
+                *leave,
                 f"{pad}if steps == fuel:",
                 f"{pad}    break",
-                *goto(exit_pc, 1, pad)]
+                *goto(exits[0], 1, pad)]
 
     def superblock(h: int, pad: str) -> list[str]:
         if ops[h] == _OP_LOOP:
@@ -532,13 +575,6 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
             pc += 1
         return [f"{pad}if steps + {cost} > fuel:", f"{pad}    break", *out]
 
-    def dispatch(lo: int, hi: int, pad: str) -> list[str]:
-        if hi - lo == 1:
-            return superblock(heads[lo], pad)
-        mid = (lo + hi) // 2
-        return [f"{pad}if pc < {heads[mid]}:", *dispatch(lo, mid, pad + "    "),
-                f"{pad}else:", *dispatch(mid, hi, pad + "    ")]
-
     regs = [f"r{i}" for i in range(nregs)]
     lines = ["def block_run(x, oracle, fuel):",
              "    if fuel < 0:",
@@ -555,14 +591,23 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
                   "    answer = oracle.answer",
                   "    yes, no = YES, NO",
                   "    while True:",
-                  *dispatch(0, len(heads), " " * 8),
+                  *_dispatch(heads, superblock, 0, len(heads), " " * 8),
                   f"    return _execute(tables, r0, oracle, fuel, "
                   f"(pc, steps, [{', '.join(regs)}], entries))"]
     namespace = {"_execute": _execute, "_halt": _halt, "_block": _block,
-                 "_out_of_fuel": _out_of_fuel, "tables": tables,
-                 "YES": Answer.YES, "NO": Answer.NO}
+                 "_out_of_fuel": _out_of_fuel, "tables": tables, "YES": YES, "NO": NO}
     exec(compile("\n".join(lines), "<fanlab block code>", "exec"), namespace)
     return namespace.pop("block_run")  # no cycle through its own globals
+
+
+def _dispatch(heads: list[int], superblock, lo: int, hi: int, pad: str) -> list[str]:
+    """A binary if-tree on pc over heads[lo:hi], a superblock at each leaf.
+    Module-level, so that recursing leaves no closure cycle."""
+    if hi - lo == 1:
+        return superblock(heads[lo], pad)
+    mid = (lo + hi) // 2
+    return [f"{pad}if pc < {heads[mid]}:", *_dispatch(heads, superblock, lo, mid, pad + "    "),
+            f"{pad}else:", *_dispatch(heads, superblock, mid, hi, pad + "    ")]
 
 
 class _Entry:
@@ -684,15 +729,13 @@ class DeciderPartial(Exception):
 
 def run_decider(code: int, x: int, oracle: Oracle = BLOCK_ALL,
                 fuel: int = DEFAULT_FUEL) -> int:
-    res = run(code, x, oracle, fuel)
-    match res.outcome:
-        case Converged(value):
-            return value
-        case Blocked(query, _):
-            raise DeciderPartial(f"decider blocked on query {query} at input {x}")
-        case OutOfFuel(_):
-            raise DeciderPartial(f"decider exceeded fuel {fuel} at input {x}")
-    raise AssertionError("unreachable")
+    outcome = run(code, x, oracle, fuel).outcome
+    kind = type(outcome)  # exact-type tests, as in encode_instruction
+    if kind is Converged:
+        return outcome.value
+    if kind is Blocked:
+        raise DeciderPartial(f"decider blocked on query {outcome.query} at input {x}")
+    raise DeciderPartial(f"decider exceeded fuel {fuel} at input {x}")
 
 
 def random_program(rng, max_len: int = 10, max_reg: int = 3) -> Program:

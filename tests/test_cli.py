@@ -396,6 +396,13 @@ def test_parser_built_at_most_once(monkeypatch):
     assert len(builds) == 1
 
 
+def test_check_lemma1_counts_starved_probes_as_failures():
+    assert run_cli("check", "lemma1") == (0, ["slice-gate pass nodes 341 k-max 3 failures 0"])
+    # At fuel 0 no probe settles: each of the 4 * 341 runs out of fuel.
+    assert run_cli("check", "lemma1", "--fuel", "0") == (
+        1, ["slice-gate fail nodes 341 k-max 3 failures 1364"])
+
+
 def test_check_defaults_do_not_leak_between_calls():
     assert run_cli("check", "census", "--depth", "3")[1] == [
         "census pass trees 4 depth 3 failures 0"]

@@ -13,14 +13,21 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from itertools import product
+from pathlib import Path
 
 from fanlab import machine
+from fanlab.cli import parse_assembly
 from fanlab.fan import load_constant_block
 from fanlab.machine import (
     HALT, Answer, Blocked, Converged, Decjz, FnOracle, Inc, Instruction, Jmp, Oracle,
     OutOfFuel, Program, Query, QueryTrace, RunResult, encode_program, random_program,
     run,
 )
+
+from helpers import mod_decider_program
+
+PARITY_ASM = Path(__file__).resolve().parents[1] / "scripts" / "asm" / "parity.asm"
 
 
 def reference_run(program: Program, x: int, oracle: Oracle, fuel: int) -> RunResult:
@@ -241,3 +248,77 @@ def test_loop_block_rounds_crossing_the_budget():
     trace = QueryTrace(((10, Answer.NO),))
     assert block_result(program, 10, 20) == RunResult(OutOfFuel(trace), 20, trace)
     assert block_result(program, 10, 33) == RunResult(Converged(0), 33, trace)
+
+
+# Countdown cycles `h: DECJZ r x0; ...; DECJZ r x(m-1); INC a...; JMP h`, all of
+# them at small scope: m <= 3 tests of r0, bodies of 0-2 INCs, and each exit
+# before the head, inside the cycle, just after it or past the end.  After
+# the cycle a transfer loop adds r1 to r0, so the output shows what the body
+# counted, and the INC r1 before the head counts how often it was entered.
+
+CYCLE_BODIES = ((), (1,), (1, 1))
+CYCLE_SETTLE_CAP = 100  # the longest of these runs that settles takes 56 steps
+
+
+def countdown_cycles():
+    h = 1
+    for m in (1, 2, 3):
+        for body in CYCLE_BODIES:
+            after = h + m + len(body) + 1
+            n = after + 3
+            for exits in product(range(4), repeat=m):
+                targets = [(0, h + i + 1, after, n + 2)[e] for i, e in enumerate(exits)]
+                yield m, (Inc(1), *(Decjz(0, x) for x in targets), *(Inc(a) for a in body),
+                          Jmp(h), Decjz(1, n), Inc(0), Jmp(after))
+
+
+def test_countdown_cycles_match_reference_at_every_fuel():
+    """Both engines against the reference, on inputs 0..3m+2 and at every fuel
+    up to two past the settle point.  A run that never settles is swept
+    through its countdown and one more round; it then only repeats exits
+    that r0 = 0 takes.  The programs ask nothing, so below the settle point
+    the reference result is OutOfFuel at exactly that fuel."""
+    programs = 0
+    for m, program in countdown_cycles():
+        tables = machine._compile(program)
+        assert tables[0][1] == machine._OP_LOOP, program
+        per_round = tables[2][1][1]
+        block_run = machine._generate(tables)
+        for x in range(3 * m + 3):
+            settled = reference_run(program, x, ORACLE, CYCLE_SETTLE_CAP)
+            top = (settled.steps + 2 if not isinstance(settled.outcome, OutOfFuel)
+                   else (x // m + 2) * per_round + m + 1)
+            for fuel in range(top + 1):
+                expected = (settled if fuel >= settled.steps else
+                            RunResult(OutOfFuel(QueryTrace()), fuel, QueryTrace()))
+                assert machine._execute(tables, x, ORACLE, fuel) == expected, (program, x, fuel)
+                assert block_run(x, ORACLE, fuel) == expected, (program, x, fuel, "block")
+        programs += 1
+    assert programs == 3 * (4 + 16 + 64)
+
+
+def test_near_miss_cycles_stay_single_steps():
+    """A second test of another register, a test that jumps to itself or r0
+    in the body: no LOOP at the head, and still the reference's results."""
+    for second, body in ((Decjz(1, 6), (Inc(2),)), (Decjz(0, 2), (Inc(2),)),
+                         (Decjz(0, 6), (Inc(0),))):
+        program = (Inc(1), Decjz(0, 6), second, *body, Jmp(1), Inc(0))
+        assert machine._compile(program)[0][1] != machine._OP_LOOP, program
+        for x in range(6):
+            assert_same_at_every_fuel(program, x)
+
+
+def test_countdown_heads_compile_to_loop():
+    parity = parse_assembly(PARITY_ASM.read_text())
+    assert machine._compile(parity)[0][0] == machine._OP_LOOP
+    for mod in range(1, 7):
+        for residue in range(mod):
+            ops, _, arg2, _ = machine._compile(mod_decider_program(mod, residue))
+            assert ops[0] == machine._OP_LOOP
+            assert len(arg2[0][0]) == mod  # one exit per test of the cycle
+
+
+def test_parity_runs_ten_million_rounds_in_one_dispatch():
+    code = encode_program(parse_assembly(PARITY_ASM.read_text()))
+    res = run(code, 10**7 + 1, fuel=2 * 10**7)
+    assert (res.outcome, res.steps) == (Converged(1), 15_000_003)

@@ -377,3 +377,17 @@ def test_warm_oracle_keeps_equality_hash_and_repr():
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
+
+
+def test_oracles_differently_asked_stay_equal():
+    family = _mixed_family(random.Random(11), 5)
+    node = (2, 7, 1, 8, 2)
+    first, second = node_oracle(family, node), node_oracle(family, node)
+    for q in range(0, 60, 2):
+        first.answer(q)
+    for q in range(1, 90, 3):
+        second.answer(q)
+    assert first.answer.__self__ != second.answer.__self__  # the stores differ
+    assert first == second
+    assert hash(first) == hash(second)
+    assert repr(first) == repr(second) == f"LayeredOracle(family={family!r}, node={node!r})"

@@ -1,5 +1,6 @@
 """Machine model: pairing, numbering, evaluation, currying."""
 
+import gc
 import random
 
 import pytest
@@ -438,7 +439,23 @@ def test_decider_partial_propagates_from_block_code(generated):
     oracle = node_oracle(family, (0, 0))
     with pytest.raises(DeciderPartial):
         run(code, 10, oracle)  # query 1 is pair(1, 0), in the decider's slice
-    assert 1 not in oracle._memo
+    assert 1 not in oracle.answer.__self__  # the answer store behind the lookup
+
+
+def test_encode_and_generate_leave_no_cycles():
+    """Encoding and block generation free their scratch by reference
+    counting alone: with the collector off, nothing is left for it."""
+    prelude = machine.pairing_prelude(3)
+    program = (*prelude, *machine.relocate(QUERY_LOOP, len(prelude)))
+    tables = machine._compile(program)
+    gc.collect()
+    gc.disable()
+    try:
+        encode_program(program)
+        machine._generate(tables)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cold_programs_stay_interpreted(generated, capsys):
