@@ -83,9 +83,12 @@ class AsmError(CliInputError):
 # ---------------------------------------------------------------------------
 # Assembler
 
-_MNEMONICS = {"INC", "DECJZ", "JMP", "QUERY", "HALT"}
 _ARITY = {"INC": 1, "DECJZ": 2, "JMP": 1, "QUERY": 2, "HALT": 0}
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def _is_natural(text: str) -> bool:
+    return text.isascii() and text.isdigit()  # isdigit alone takes '²', which int rejects
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -97,7 +100,7 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
 
 
 def _parse_register(token: str, lineno: int, col: int) -> int:
-    if len(token) >= 2 and token[0] in "rR" and token[1:].isdigit():
+    if token[:1] in ("r", "R") and _is_natural(token[1:]):
         return int(token[1:])
     raise AsmError(f"expected a register like r0, got {token!r}", lineno, col)
 
@@ -119,7 +122,7 @@ def parse_assembly(text: str) -> Program:
         if not toks:
             continue
         mnemonic = toks[0][0].upper()
-        if mnemonic not in _MNEMONICS:
+        if mnemonic not in _ARITY:
             raise AsmError(f"unknown mnemonic {toks[0][0]!r}", lineno, toks[0][1])
         if len(toks) - 1 != _ARITY[mnemonic]:
             raise AsmError(
@@ -129,7 +132,7 @@ def parse_assembly(text: str) -> Program:
         pending.append((mnemonic, toks[1:], lineno))
 
     def target(token: str, lineno: int, col: int) -> int:
-        if token.isdigit():
+        if _is_natural(token):
             return int(token)
         if token in labels:
             return labels[token]
@@ -195,7 +198,7 @@ def _assemble(path: str) -> int:
 
 def _program_arg(value: str) -> int:
     """A program given either as a bare code or as an assembly file path."""
-    if value.isdigit():
+    if _is_natural(value):
         return int(value)
     return _assemble(value)
 
@@ -216,13 +219,13 @@ def parse_family_file(path: str) -> Family:
         if not line:
             continue
         head, sep, rest = line.partition(":")
-        if not sep or not head.strip().isdigit():
+        if not sep or not _is_natural(head.strip()):
             raise CliInputError(f"{path}:{lineno}: expected 'n: pattern <bits>' or 'n: <asm path>'")
         n = int(head.strip())
         if n in entries:
             raise CliInputError(f"{path}:{lineno}: duplicate index {n}")
         rest = rest.strip()
-        if rest.startswith("pattern"):
+        if rest.split(maxsplit=1)[:1] == ["pattern"]:
             bits = rest[len("pattern"):].strip()
             if not bits or set(bits) - {"0", "1"}:
                 raise CliInputError(f"{path}:{lineno}: pattern must be nonempty 0/1 string")
@@ -267,7 +270,7 @@ def parse_tree_spec(spec: str, family: Family, fuel: int) -> DecidableTree:
         return trees.full_tree()
     if kind == "zeros" and not rest:
         return trees.zeros_tree()
-    if kind == "at-most-k-ones" and len(rest) == 1 and rest[0].isdigit():
+    if kind == "at-most-k-ones" and len(rest) == 1 and _is_natural(rest[0]):
         return trees.at_most_ones_tree(int(rest[0]))
     if kind == "kleene" and len(rest) <= 1:
         return trees.kleene_tree(_node_oracle(family, rest[0] if rest else None))
@@ -294,7 +297,7 @@ def parse_bar_table_file(path: str) -> frozenset[Bits]:
 def parse_bar_spec(spec: str, oracle, fuel: int):
     """A bar membership test from `depth <k>`, `table <file>`, or an assembly path."""
     toks = _spec_tokens(spec)
-    if len(toks) == 2 and toks[0] == "depth" and toks[1].isdigit():
+    if len(toks) == 2 and toks[0] == "depth" and _is_natural(toks[1]):
         return fan.depth_bar(int(toks[1]))
     if len(toks) == 2 and toks[0] == "table":
         return fan.table_bar(parse_bar_table_file(toks[1]))
@@ -335,10 +338,10 @@ def _cmd_eval(args) -> int:
     match res.outcome:
         case Converged(value):
             print(f"outcome Converged {value}")
-        case Blocked(query, _):
+        case Blocked(query):
             print(f"outcome Blocked {query}")
             slices.add(unpair(query)[0])
-        case OutOfFuel(_):
+        case OutOfFuel():
             print("outcome OutOfFuel")
     print(f"steps {res.steps}")
     for q, ans in res.trace.entries:

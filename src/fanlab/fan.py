@@ -40,7 +40,6 @@ from .machine import (
     OutOfFuel,
     Program,
     Query,
-    QueryTrace,
     pair,
     pairing_prelude,
     relocate,
@@ -60,10 +59,9 @@ class InvalidRealizer(Exception):
 class RealizerBlocked(Exception):
     """The realizer asked the surrounding oracle something it cannot answer."""
 
-    def __init__(self, query: int, trace: QueryTrace):
+    def __init__(self, query: int):
         super().__init__(f"blocked on query {query}")
         self.query = query
-        self.trace = trace
 
 
 class RealizerOutOfFuel(Exception):
@@ -166,9 +164,9 @@ def apply_realizer_to_path(realizer: BarRealizer, path: PathOracle) -> tuple[Bit
                         f"output {bits} differs from the path at position {j}"
                     )
             return bits, path.use
-        case Blocked(query, trace):
-            raise RealizerBlocked(query, trace)
-        case OutOfFuel(_):
+        case Blocked(query):
+            raise RealizerBlocked(query)
+        case OutOfFuel():
             raise RealizerOutOfFuel(f"no output within {realizer.fuel} steps")
     raise AssertionError("unreachable")
 
@@ -225,15 +223,14 @@ def extract_bound(realizer: BarRealizer, *, n_max: int = 16) -> UniformBound:
     cover = CoverSet()
     outputs: set[Bits] = set()
     for n in range(n_max + 1):
+        candidates = cover.uncovered(n)
         stage_commits: list[Bits] = []
-        for bits in product((0, 1), repeat=n):
-            if cover.covers(bits):
-                continue
+        for bits in candidates:
             path = PathOracle.zero_extended(bits)
             try:
                 prefix, _use = apply_realizer_to_path(realizer, path)
             except RealizerOutOfFuel:
-                raise ExtractionExhausted(n, cover.uncovered(n), "realizer fuel",
+                raise ExtractionExhausted(n, candidates, "realizer fuel",
                                           bits, realizer.fuel) from None
             outputs.add(prefix)
             if len(prefix) <= n:
@@ -243,8 +240,7 @@ def extract_bound(realizer: BarRealizer, *, n_max: int = 16) -> UniformBound:
                 stage_commits.append(prefix)
         for bits in stage_commits:  # merged only now: stage order cannot matter
             cover.commit(bits)
-        missing = cover.uncovered(n)
-        if not missing:
+        if not cover.uncovered(n):
             certificate = {
                 bits: cover.covering_prefix(bits)
                 for bits in product((0, 1), repeat=n)

@@ -16,10 +16,13 @@ Control starts at instruction 0 with the input in register 0 and every other
 register 0.  A jump target at or past the end of the program halts the
 machine, so every natural number is a valid target.  Each executed instruction
 costs one fuel unit (oracle queries included); a run that would need more
-steps than its budget ends in ``OutOfFuel``.  If the oracle declines to answer
-a query (``Answer.BLOCKED``) the run aborts with a ``Blocked`` outcome
-carrying that query: there is no machine-visible way to continue past an
-unanswered question.
+steps than its budget ends in ``OutOfFuel()``.  If the oracle declines to answer
+a query (``Answer.BLOCKED``) the run aborts with a ``Blocked(query)`` outcome:
+there is no machine-visible way to continue past an unanswered question.  A
+run that halts ends in ``Converged(value)`` with register 0 as the value.
+Outcomes carry only their own data: ``run`` returns ``RunResult(outcome,
+steps, trace)``, and the trace of answered queries lives on ``RunResult.trace``
+alone.
 
 The interpreter applies countdown cycles
 ``h: DECJZ r x0; ...; DECJZ r x(m-1); INC a...; JMP h`` (m >= 1 tests of the
@@ -281,12 +284,11 @@ class Converged:
 @dataclass(frozen=True)
 class Blocked:
     query: int
-    trace: QueryTrace
 
 
 @dataclass(frozen=True)
 class OutOfFuel:
-    trace: QueryTrace
+    pass
 
 
 EvalOutcome = Converged | Blocked | OutOfFuel
@@ -364,22 +366,13 @@ def _attach_macros(ops: list[int], arg1: list, arg2: list) -> None:
                 arg2[h] = (tuple(arg2[h:i]), j - h + 1, tuple(Counter(body).items()))
 
 
-_NO_QUERIES = QueryTrace()  # shared by every converged run that asked nothing
+_NO_QUERIES = QueryTrace()  # shared by every run that answered nothing
+_OUT_OF_FUEL = OutOfFuel()  # shared by every run that ran out of fuel
 
 
-def _halt(value: int, steps: int, entries) -> RunResult:
-    trace = QueryTrace(tuple(entries)) if entries else _NO_QUERIES
-    return RunResult(Converged(value), steps, trace)
-
-
-def _block(query: int, steps: int, entries) -> RunResult:
-    trace = QueryTrace(tuple(entries))
-    return RunResult(Blocked(query, trace), steps, trace)
-
-
-def _out_of_fuel(fuel: int, entries) -> RunResult:
-    trace = QueryTrace(tuple(entries))
-    return RunResult(OutOfFuel(trace), fuel, trace)
+def _result(outcome: EvalOutcome, steps: int, entries) -> RunResult:
+    """The one constructor of both engines' results."""
+    return RunResult(outcome, steps, QueryTrace(tuple(entries)) if entries else _NO_QUERIES)
 
 
 def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunResult:
@@ -401,7 +394,7 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
     yes, no = YES, NO
     while True:
         if pc >= n:
-            return _halt(regs[0], steps, entries)
+            return _result(Converged(regs[0]), steps, entries)
         if steps == fuel:
             break
         op = ops[pc]
@@ -427,7 +420,7 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
             elif ans is no:
                 regs[arg2[pc]] = 0
             else:
-                return _block(q, steps, entries)
+                return _result(Blocked(q), steps, entries)
             entries.append((q, ans))
             pc += 1
         # A LOOP holds no query, so a budget that ends inside one ends the
@@ -457,8 +450,8 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
             regs[r] -= 1
             pc += 1
         else:
-            return _halt(regs[0], steps, entries)
-    return _out_of_fuel(fuel, entries)
+            return _result(Converged(regs[0]), steps, entries)
+    return _result(_OUT_OF_FUEL, fuel, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +486,7 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
     def goto(target: int, more, pad: str) -> list[str]:
         """Leave for `target` after charging `more` steps."""
         if target >= n:
-            return [f"{pad}return _halt(r0, steps + {more}, entries)"]
+            return [f"{pad}return _result(Converged(r0), steps + {more}, entries)"]
         return [f"{pad}steps += {more}", f"{pad}pc = {target}", f"{pad}continue"]
 
     def loop(h: int, pad: str) -> list[str]:
@@ -554,12 +547,12 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
                         f"{pad}elif a is no:",
                         f"{pad}    r{arg2[pc]} = 0",
                         f"{pad}else:",
-                        f"{pad}    return _block(q, steps + {cost}, entries)",
+                        f"{pad}    return _result(Blocked(q), steps + {cost}, entries)",
                         f"{pad}append((q, a))"]
             elif op == _OP_DECJZ or op == _OP_WAIT:
                 out.append(f"{pad}if not r{arg1[pc]}:")
                 if op == _OP_WAIT:  # never leaves once the register is 0
-                    out.append(f"{pad}    return _out_of_fuel(fuel, entries)")
+                    out.append(f"{pad}    return _result(_OUT_OF_FUEL, fuel, entries)")
                 else:
                     out += goto(arg2[pc], cost, pad + "    ")
                 out.append(f"{pad}r{arg1[pc]} -= 1")
@@ -567,10 +560,10 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
                 out += goto(arg2[pc], cost, pad)
                 break
             elif op == _OP_SPIN:
-                out.append(f"{pad}return _out_of_fuel(fuel, entries)")
+                out.append(f"{pad}return _result(_OUT_OF_FUEL, fuel, entries)")
                 break
             else:
-                out.append(f"{pad}return _halt(r0, steps + {cost}, entries)")
+                out.append(f"{pad}return _result(Converged(r0), steps + {cost}, entries)")
                 break
             pc += 1
         return [f"{pad}if steps + {cost} > fuel:", f"{pad}    break", *out]
@@ -581,7 +574,7 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
              "        raise ValueError('fuel must be a natural number')",
              "    r0 = x"]
     if not heads:  # the empty program
-        lines.append("    return _halt(r0, 0, [])")
+        lines.append("    return _result(Converged(r0), 0, ())")
     else:
         if nregs > 1:
             lines.append("    " + " = ".join(regs[1:]) + " = 0")
@@ -594,8 +587,9 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
                   *_dispatch(heads, superblock, 0, len(heads), " " * 8),
                   f"    return _execute(tables, r0, oracle, fuel, "
                   f"(pc, steps, [{', '.join(regs)}], entries))"]
-    namespace = {"_execute": _execute, "_halt": _halt, "_block": _block,
-                 "_out_of_fuel": _out_of_fuel, "tables": tables, "YES": YES, "NO": NO}
+    namespace = {"_execute": _execute, "_result": _result, "Converged": Converged,
+                 "Blocked": Blocked, "_OUT_OF_FUEL": _OUT_OF_FUEL, "tables": tables,
+                 "YES": YES, "NO": NO}
     exec(compile("\n".join(lines), "<fanlab block code>", "exec"), namespace)
     return namespace.pop("block_run")  # no cycle through its own globals
 

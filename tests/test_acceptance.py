@@ -81,7 +81,8 @@ def test_criterion_1_determinism_and_fuel_monotonicity():
             violations += 1
         if not isinstance(first.outcome, OutOfFuel):
             for bigger in (10_001, 20_000):
-                if run(e, x, oracle, bigger).outcome != first.outcome:
+                again = run(e, x, oracle, bigger)
+                if (again.outcome, again.trace) != (first.outcome, first.trace):
                     violations += 1
     elapsed = time.perf_counter() - started
     ok = violations == 0 and elapsed < 5.0
@@ -269,7 +270,8 @@ def test_criterion_9_curry_extensional_law():
         curried = run(curry(e, a), b, parity, 10_000 + curry_overhead(a, b))
         if type(curried.outcome) is not type(direct.outcome):
             violations += 1
-        elif not isinstance(direct.outcome, OutOfFuel) and curried.outcome != direct.outcome:
+        elif (not isinstance(direct.outcome, OutOfFuel)
+              and (curried.outcome, curried.trace) != (direct.outcome, direct.trace)):
             violations += 1
     ok = violations == 0
     report("9", ok, f"curry law: 200 random triples, {violations} violations")

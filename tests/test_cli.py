@@ -442,6 +442,20 @@ def test_family_file_patterns_and_deciders(tmp_path):
     assert family[1].contains(3) and not family[1].contains(4)
 
 
+def test_family_file_pattern_keyword_is_a_whole_word(tmp_path):
+    """Only a first word of exactly `pattern` starts a pattern: a decider
+    path may begin with it, and `pattern101` is no pattern."""
+    (tmp_path / "patterns").mkdir()
+    (tmp_path / "patterns" / "dec.asm").write_text("DECJZ r0 4\nDECJZ r0 3\nJMP 0\nINC r0\n")
+    fam = tmp_path / "family.txt"
+    fam.write_text("0: pattern 10\n1: patterns/dec.asm\n")
+    family = parse_family_file(str(fam))
+    assert family[1].contains(3) and not family[1].contains(4)
+    fam.write_text("0: pattern101\n")
+    with pytest.raises(cli.CliInputError, match="cannot read"):
+        parse_family_file(str(fam))
+
+
 def test_family_file_requires_contiguous_indices(tmp_path):
     fam = tmp_path / "family.txt"
     fam.write_text("0: pattern 1\n2: pattern 0\n")
@@ -471,18 +485,22 @@ def fuzz_vocabulary(tmp_path_factory) -> tuple[list[str], dict[str, list[str]]]:
     bad_table.write_text("0\n2\n")
     binary = tmp / "binary.asm"
     binary.write_bytes(b"\xff\xfe\x00")
+    # '²' passes str.isdigit but not int: register, jump target, family index.
+    superscripts = [tmp / "register.asm", tmp / "target.asm", tmp / "index.txt"]
+    for path, text in zip(superscripts, ("INC r²\n", "JMP ²\n", "²: pattern 1\n")):
+        path.write_text(text)
     paths = [str(p) for p in sorted(ASM_DIR.glob("*.asm"))] + [
         str(files["loop"]), str(files["probe"]), str(files["family"]), str(ten),
-        str(table), str(binary), str(tmp / "missing.asm"), str(tmp),
+        str(table), str(binary), *map(str, superscripts), str(tmp / "missing.asm"), str(tmp),
     ]
     values = paths + [
-        "0", "1", "2", "3", "-1", "-7", "x", "1.5", "", "76",
+        "0", "1", "2", "3", "-1", "-7", "x", "1.5", "", "76", "²",
         "0,1", "0,-2", "1,x", ",", "0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0,1",
         "full", "zeros", "kleene", "kleene 0,2", "kleene 1,x", 'kleene "',
-        "at-most-k-ones 1", "at-most-k-ones", "at-most-k-ones -1", "bogus",
+        "at-most-k-ones 1", "at-most-k-ones", "at-most-k-ones -1", "at-most-k-ones ²", "bogus",
         f"decider {files['loop']}", f"decider {ASM_DIR / 'parity.asm'} 0,1",
         f"decider {tmp / 'missing.asm'}", "decider",
-        "depth 2", "depth x", f"table {table}", f"table {bad_table}", "table",
+        "depth 2", "depth x", "depth ²", f"table {table}", f"table {bad_table}", "table",
         "persistence", "lemma1", "extraction", "census",
     ]
     first_bit = str(ASM_DIR / "first_bit.asm")
@@ -524,3 +542,33 @@ def test_cli_fuzz_exits_0_1_or_2_without_traceback(fuzz_vocabulary, data):
             status = exc.code
     assert status in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# Where each command reads a value by hand rather than through argparse.
+HAND_PARSED = {
+    "eval": (["{}", "0"], []),
+    "asm": (["{}"], []),
+    "census": ([], ["--tree", "{}"]),
+    "verify-bound": ([], ["--bar", "{}"]),
+    "extract-bound": ([], ["--realizer", "{}"]),
+    "kleene": ([], ["--family", "{}"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HAND_PARSED))
+def test_cli_hand_parsed_slots_take_every_vocabulary_value(fuzz_vocabulary, command):
+    """Every fuzz value in every slot the CLI parses by hand, which the random
+    draws above reach too rarely to rely on: exit 0, 1 or 2, no traceback."""
+    values, baseline = fuzz_vocabulary
+    positionals, options = HAND_PARSED[command]
+    for value in values:
+        fill = lambda tokens: [t.replace("{}", value) for t in tokens]
+        argv = [command, *fill(positionals), *baseline[command], *fill(options)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        assert status in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv

@@ -37,8 +37,7 @@ def reference_run(program: Program, x: int, oracle: Oracle, fuel: int) -> RunRes
     entries: list[tuple[int, Answer]] = []
     while pc < len(program):
         if steps == fuel:
-            trace = QueryTrace(tuple(entries))
-            return RunResult(OutOfFuel(trace), steps, trace)
+            return RunResult(OutOfFuel(), steps, QueryTrace(tuple(entries)))
         ins = program[pc]
         steps += 1
         pc += 1
@@ -55,8 +54,7 @@ def reference_run(program: Program, x: int, oracle: Oracle, fuel: int) -> RunRes
             q = regs[ins.src]
             ans = oracle.answer(q)
             if ans is Answer.BLOCKED:
-                trace = QueryTrace(tuple(entries))
-                return RunResult(Blocked(q, trace), steps, trace)
+                return RunResult(Blocked(q), steps, QueryTrace(tuple(entries)))
             regs[ins.dst] = int(ans is Answer.YES)
             entries.append((q, ans))
         else:
@@ -216,7 +214,7 @@ def test_self_waiting_decjz_reached_by_a_jump():
         assert_same_at_every_fuel(behind_loop, x)
     # x = 1 asks 2, is told No, jumps back to 3 with r1 empty and waits there.
     trace = QueryTrace(((2, Answer.NO),))
-    assert block_result(program, 1, 50) == RunResult(OutOfFuel(trace), 50, trace)
+    assert block_result(program, 1, 50) == RunResult(OutOfFuel(), 50, trace)
     assert block_result(program, 0, 50) == RunResult(
         Converged(1), 7, QueryTrace(((1, Answer.YES),)))
 
@@ -226,7 +224,7 @@ def test_query_blocking_inside_a_superblock():
     program = (*[Inc(1)] * 4, Query(0, 2), Inc(3), Query(1, 2), Inc(0), HALT)
     assert_same_at_every_fuel(program, 1)
     trace = QueryTrace(((1, Answer.YES),))
-    assert block_result(program, 1, 100) == RunResult(Blocked(4, trace), 7, trace)
+    assert block_result(program, 1, 100) == RunResult(Blocked(4), 7, trace)
 
 
 def test_superblock_crossing_the_budget():
@@ -235,7 +233,7 @@ def test_superblock_crossing_the_budget():
     program = (Query(0, 1), *[Inc(2)] * 8, HALT)
     assert_same_at_every_fuel(program, 2)
     trace = QueryTrace(((2, Answer.NO),))
-    assert block_result(program, 2, 5) == RunResult(OutOfFuel(trace), 5, trace)
+    assert block_result(program, 2, 5) == RunResult(OutOfFuel(), 5, trace)
     assert block_result(program, 2, 10) == RunResult(Converged(2), 10, trace)
 
 
@@ -246,7 +244,7 @@ def test_loop_block_rounds_crossing_the_budget():
     assert machine._compile(program)[0][1] == machine._OP_LOOP
     assert_same_at_every_fuel(program, 10)
     trace = QueryTrace(((10, Answer.NO),))
-    assert block_result(program, 10, 20) == RunResult(OutOfFuel(trace), 20, trace)
+    assert block_result(program, 10, 20) == RunResult(OutOfFuel(), 20, trace)
     assert block_result(program, 10, 33) == RunResult(Converged(0), 33, trace)
 
 
@@ -290,7 +288,7 @@ def test_countdown_cycles_match_reference_at_every_fuel():
                    else (x // m + 2) * per_round + m + 1)
             for fuel in range(top + 1):
                 expected = (settled if fuel >= settled.steps else
-                            RunResult(OutOfFuel(QueryTrace()), fuel, QueryTrace()))
+                            RunResult(OutOfFuel(), fuel, QueryTrace()))
                 assert machine._execute(tables, x, ORACLE, fuel) == expected, (program, x, fuel)
                 assert block_run(x, ORACLE, fuel) == expected, (program, x, fuel, "block")
         programs += 1

@@ -38,6 +38,7 @@ from fanlab.machine import (
     Query,
     encode_program,
     pair,
+    relocate,
     run,
 )
 from fanlab.kripke import GroundReal, node_oracle
@@ -238,6 +239,25 @@ def test_extraction_fuel_exhaustion_reports_stage():
     assert str(info.value) == (
         "no uniform bound by stage 0 (1 uncovered, realizer fuel: sequence - used 300 steps)"
     )
+
+
+def test_extraction_fuel_exhaustion_after_longer_commits():
+    """A take-2 realizer that spins on paths starting 11.  Stage 0 commits
+    (0, 0) and stage 1 commits (1, 0), both longer than their stage; stage 2
+    runs out of fuel on (1, 1) and reports exactly that stage's uncovered
+    sequences, in lexicographic order."""
+    q0, q1 = pair(PATH_SLICE, 0), pair(PATH_SLICE, 1)
+    spin = q1 + q0 + 4  # the JMP to itself
+    program = (*[Inc(7)] * q1, Query(7, 8), Decjz(8, spin + 1),  # bit 1 is 0: take 2
+               *[Inc(9)] * q0, Query(9, 8), Decjz(8, spin + 1),  # bit 0 is 0: take 2
+               Jmp(spin),
+               *relocate(take_prefix_program(2), spin + 1))
+    with pytest.raises(ExtractionExhausted) as info:
+        extract_bound(BarRealizer(encode_program(program), fuel=10_000))
+    exc = info.value
+    assert (exc.stage, exc.reason) == (2, "realizer fuel")
+    assert exc.uncovered == ((0, 1), (1, 1))
+    assert exc.sequence == (1, 1) and exc.steps == 10_000
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ def test_inc_then_halt():
 def test_query_against_blocking_oracle():
     # r1 counts up to pair(0, 3) = 9, then queries it.
     e = encode_program(tuple(Inc(1) for _ in range(9)) + (Query(1, 0), Halt()))
-    assert evaluate(e, 0, BLOCK_ALL, 100) == Blocked(9, QueryTrace())
+    r = run(e, 0, BLOCK_ALL, 100)
+    assert (r.outcome, r.trace) == (Blocked(9), QueryTrace())
 
 
 def test_query_writes_answer_bit():
@@ -197,11 +198,13 @@ def test_fuel_monotonicity_and_exact_step_counts():
         if isinstance(r.outcome, OutOfFuel):
             continue
         settled += 1
-        # Settled runs repeat identically at any larger budget,
+        # Settled runs repeat identically, trace included, at any larger budget,
         for extra in (1, 17, 3000):
-            assert run(e, x, oracle, 3000 + extra).outcome == r.outcome
+            again = run(e, x, oracle, 3000 + extra)
+            assert (again.outcome, again.trace) == (r.outcome, r.trace)
         # reproduce at exactly their step count,
-        assert run(e, x, oracle, r.steps).outcome == r.outcome
+        exact = run(e, x, oracle, r.steps)
+        assert (exact.outcome, exact.trace) == (r.outcome, r.trace)
         # and fall short one step earlier.
         if r.steps > 0:
             assert isinstance(evaluate(e, x, oracle, r.steps - 1), OutOfFuel)
@@ -244,8 +247,22 @@ def test_blocking_query_not_in_trace():
         Query(1, 2), Inc(1), Query(1, 2), Inc(1), Query(1, 2), Halt(),
     ))
     r = run(e, 0, oracle, 100)
-    assert r.outcome == Blocked(2, QueryTrace(((0, Answer.YES), (1, Answer.NO))))
+    assert r.outcome == Blocked(2)
+    assert r.trace == QueryTrace(((0, Answer.YES), (1, Answer.NO)))
     assert r.trace.max_query == 1
+
+
+def test_results_share_the_empty_trace_and_out_of_fuel():
+    """A run that answered nothing gets the one empty trace, whatever its
+    outcome, and every out-of-fuel run the one OutOfFuel(), in both engines."""
+    results = []
+    for program in ((Inc(0),), (Query(0, 1),), (Jmp(0),), (Jmp(1), Jmp(0))):
+        tables = machine._compile(program)
+        results += [machine._execute(tables, 3, BLOCK_ALL, 9),
+                    machine._generate(tables)(3, BLOCK_ALL, 9)]
+    assert all(r.trace is machine._NO_QUERIES for r in results)
+    starved = [r.outcome for r in results if isinstance(r.outcome, OutOfFuel)]
+    assert len(starved) == 4 and all(o is starved[0] for o in starved)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +297,7 @@ def test_curry_overhead_formula_is_exact():
         fuel = curry_overhead(a, b) + 10
         direct = run(76, pair(a, b), BLOCK_ALL, fuel)
         curried = run(curry(76, a), b, BLOCK_ALL, fuel)
-        assert curried.outcome == direct.outcome
+        assert (curried.outcome, curried.trace) == (direct.outcome, direct.trace)
         assert curried.steps - direct.steps == curry_overhead(a, b)
         short = run(curry(76, a), b, BLOCK_ALL, curried.steps - 1)
         assert isinstance(short.outcome, OutOfFuel)
@@ -298,7 +315,7 @@ def test_curry_extensional_law_random():
         curried = run(curry(e, a), b, oracle, fuel + curry_overhead(a, b))
         assert type(curried.outcome) is type(direct.outcome)
         if not isinstance(direct.outcome, OutOfFuel):
-            assert curried.outcome == direct.outcome
+            assert (curried.outcome, curried.trace) == (direct.outcome, direct.trace)
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def _late_run(code, x, oracle, fuel):
     if code in LATE_SETTLES and LATE_SETTLES[code][1] <= fuel:
         value, steps = LATE_SETTLES[code]
         return RunResult(Converged(value), steps, trace)
-    return RunResult(OutOfFuel(trace), fuel, trace)
+    return RunResult(OutOfFuel(), fuel, trace)
 
 
 def test_census_counts_late_settles_from_their_step(monkeypatch):
