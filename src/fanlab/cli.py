@@ -9,6 +9,7 @@ byte-identical output except for that last line.
 Exit codes: 0 success, 1 a checked property failed, 2 bad input, including
 a decider that does not settle within its fuel.  The environment variable
 FANLAB_SEED (default 0) seeds every randomized suite, so runs repeat anywhere.
+Every natural it reads, FANLAB_SEED included, is ASCII digits only.
 
 Assembly grammar, one instruction per line::
 
@@ -45,7 +46,7 @@ import time
 from pathlib import Path
 
 from . import fan, kripke, machine, trees
-from .kripke import Family, GroundReal, Node, node_oracle, parse_node
+from .kripke import Family, GroundReal, Node, is_natural, node_oracle, parse_node
 from .machine import (
     BLOCK_ALL,
     DEFAULT_FUEL,
@@ -87,10 +88,6 @@ _ARITY = {"INC": 1, "DECJZ": 2, "JMP": 1, "QUERY": 2, "HALT": 0}
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-def _is_natural(text: str) -> bool:
-    return text.isascii() and text.isdigit()  # isdigit alone takes '²', which int rejects
-
-
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """(token, 1-based column) pairs, comment stripped."""
     cut = line.find("#")
@@ -100,7 +97,7 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
 
 
 def _parse_register(token: str, lineno: int, col: int) -> int:
-    if token[:1] in ("r", "R") and _is_natural(token[1:]):
+    if token[:1] in ("r", "R") and is_natural(token[1:]):
         return int(token[1:])
     raise AsmError(f"expected a register like r0, got {token!r}", lineno, col)
 
@@ -132,7 +129,7 @@ def parse_assembly(text: str) -> Program:
         pending.append((mnemonic, toks[1:], lineno))
 
     def target(token: str, lineno: int, col: int) -> int:
-        if _is_natural(token):
+        if is_natural(token):
             return int(token)
         if token in labels:
             return labels[token]
@@ -198,7 +195,7 @@ def _assemble(path: str) -> int:
 
 def _program_arg(value: str) -> int:
     """A program given either as a bare code or as an assembly file path."""
-    if _is_natural(value):
+    if is_natural(value):
         return int(value)
     return _assemble(value)
 
@@ -219,7 +216,7 @@ def parse_family_file(path: str) -> Family:
         if not line:
             continue
         head, sep, rest = line.partition(":")
-        if not sep or not _is_natural(head.strip()):
+        if not sep or not is_natural(head.strip()):
             raise CliInputError(f"{path}:{lineno}: expected 'n: pattern <bits>' or 'n: <asm path>'")
         n = int(head.strip())
         if n in entries:
@@ -270,7 +267,7 @@ def parse_tree_spec(spec: str, family: Family, fuel: int) -> DecidableTree:
         return trees.full_tree()
     if kind == "zeros" and not rest:
         return trees.zeros_tree()
-    if kind == "at-most-k-ones" and len(rest) == 1 and _is_natural(rest[0]):
+    if kind == "at-most-k-ones" and len(rest) == 1 and is_natural(rest[0]):
         return trees.at_most_ones_tree(int(rest[0]))
     if kind == "kleene" and len(rest) <= 1:
         return trees.kleene_tree(_node_oracle(family, rest[0] if rest else None))
@@ -297,7 +294,7 @@ def parse_bar_table_file(path: str) -> frozenset[Bits]:
 def parse_bar_spec(spec: str, oracle, fuel: int):
     """A bar membership test from `depth <k>`, `table <file>`, or an assembly path."""
     toks = _spec_tokens(spec)
-    if len(toks) == 2 and toks[0] == "depth" and _is_natural(toks[1]):
+    if len(toks) == 2 and toks[0] == "depth" and is_natural(toks[1]):
         return fan.depth_bar(int(toks[1]))
     if len(toks) == 2 and toks[0] == "table":
         return fan.table_bar(parse_bar_table_file(toks[1]))
@@ -532,8 +529,10 @@ def _cmd_check(args) -> int:
     for key, value in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
-    seed = int(os.environ.get("FANLAB_SEED", "0"))
-    rng = random.Random(seed)
+    seed = os.environ.get("FANLAB_SEED", "0")
+    if not is_natural(seed):
+        raise CliInputError(f"FANLAB_SEED must be a natural number, got {seed!r}")
+    rng = random.Random(int(seed))
     lines = suite_fn(args, rng)
     failed = False
     for line in lines:
@@ -548,12 +547,8 @@ def _cmd_check(args) -> int:
 
 def _natural(text: str) -> int:
     """argparse type for fuel, depths, limits and inputs: a natural number."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
+    if is_natural(text):
+        return int(text)
     raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
 
 

@@ -5,18 +5,18 @@ the code of a prefix of that path lying in some bar B.  Paths are served on
 one reserved query slice, PATH_SLICE = 8: a query pair(PATH_SLICE, j) reads
 path bit j and is never blocked, while every other query is routed to the
 surrounding node oracle, whose node must stop short of that slice.  The
-path oracle records the least initial segment that was actually read,
-which is the modulus the extraction leans on.
+path oracle records the least initial segment that was actually read (its
+`use`); the extraction leans on the returned prefix, not on that modulus.
 
 `extract_bound` reconstructs a uniform depth bound stage by stage.  At stage
-n, each length-n sequence that does not yet extend a committed element is
-turned into the test path "that sequence, then zeros" and the realizer is
-run on it; a returned prefix of length <= n commits all its length-n
-extensions, a longer one is committed as is.  Commits are merged only after
-the whole stage, so results do not depend on the order sequences are
-processed.  The first stage whose sequences are all covered is the bound,
-and the certificate maps each length-n sequence to the committed element it
-extends.  Nothing here claims the returned bound is least.
+n, each sequence of the uncovered frontier (length n, extending no committed
+element) is turned into the test path "that sequence, then zeros" and the
+realizer is run on it; a returned prefix commits its extensions to length
+max(n, len(prefix)).  Commits are merged only after the whole stage, so
+results do not depend on the order sequences are processed.  The first stage
+whose sequences are all covered is the bound, and the certificate maps each
+length-n sequence to the shortest committed element it extends.  Nothing here
+claims the returned bound is least.
 """
 
 from __future__ import annotations
@@ -178,17 +178,13 @@ class CoverSet:
     """Committed prefixes; covers everything that extends (or equals) one."""
 
     def __init__(self):
-        self._members: set[Bits] = set()
-        self._order: list[Bits] = []
+        self._members: dict[Bits, None] = {}  # insertion-ordered
 
     def commit(self, bits: Bits) -> None:
-        bits = tuple(bits)
-        if bits not in self._members:
-            self._members.add(bits)
-            self._order.append(bits)
+        self._members.setdefault(tuple(bits))
 
     def covers(self, bits: Bits) -> bool:
-        return any(bits[:k] in self._members for k in range(len(bits) + 1))
+        return self.covering_prefix(bits) is not None
 
     def covering_prefix(self, bits: Bits) -> Bits | None:
         for k in range(len(bits) + 1):
@@ -197,19 +193,22 @@ class CoverSet:
         return None
 
     def uncovered(self, n: int) -> tuple[Bits, ...]:
-        return tuple(
-            bits for bits in product((0, 1), repeat=n) if not self.covers(bits)
-        )
+        """Length-n sequences extending no member, in lexicographic order."""
+        level = [] if () in self._members else [()]
+        for _ in range(n):
+            level = [child for bits in level for child in (bits + (0,), bits + (1,))
+                     if child not in self._members]
+        return tuple(level)
 
     @property
     def committed(self) -> tuple[Bits, ...]:
-        return tuple(self._order)
+        return tuple(self._members)
 
 
 @dataclass(frozen=True)
 class UniformBound:
     n: int
-    certificate: dict[Bits, Bits]  # length-n sequence -> committed element it extends
+    certificate: dict[Bits, Bits]  # length-n sequence -> shortest committed element it extends
     realizer_outputs: frozenset[Bits] = field(default_factory=frozenset)
 
 
@@ -222,6 +221,7 @@ def extract_bound(realizer: BarRealizer, *, n_max: int = 16) -> UniformBound:
     """
     cover = CoverSet()
     outputs: set[Bits] = set()
+    frontier: tuple[Bits, ...] = ()
     for n in range(n_max + 1):
         candidates = cover.uncovered(n)
         stage_commits: list[Bits] = []
@@ -233,20 +233,18 @@ def extract_bound(realizer: BarRealizer, *, n_max: int = 16) -> UniformBound:
                 raise ExtractionExhausted(n, candidates, "realizer fuel",
                                           bits, realizer.fuel) from None
             outputs.add(prefix)
-            if len(prefix) <= n:
-                for tail in product((0, 1), repeat=n - len(prefix)):
-                    stage_commits.append(prefix + tail)
-            else:
-                stage_commits.append(prefix)
+            tails = product((0, 1), repeat=max(n - len(prefix), 0))
+            stage_commits += [prefix + tail for tail in tails]
         for bits in stage_commits:  # merged only now: stage order cannot matter
             cover.commit(bits)
-        if not cover.uncovered(n):
+        frontier = cover.uncovered(n)
+        if not frontier:
             certificate = {
                 bits: cover.covering_prefix(bits)
                 for bits in product((0, 1), repeat=n)
             }
             return UniformBound(n, certificate, frozenset(outputs))
-    raise ExtractionExhausted(n_max, cover.uncovered(n_max), "stage limit")
+    raise ExtractionExhausted(n_max, frontier, "stage limit")
 
 
 def verify_uniform_bound(bar: Callable[[Bits], bool], n: int) -> bool:

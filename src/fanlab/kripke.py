@@ -38,15 +38,21 @@ from .machine import (
 Node = tuple[int, ...]
 
 
+def is_natural(text: str) -> bool:
+    """The one grammar of naturals: ASCII digits only.  `int` would also
+    take '٣', '1_0', ' 5' and '+5', and `isdigit` alone takes '²'."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_node(text: str) -> Node:
     """Comma-separated naturals; the empty string is the root."""
     text = text.strip()
     if not text:
         return ()
-    node = tuple(int(part) for part in text.split(","))
-    if any(i < 0 for i in node):
+    parts = [part.strip() for part in text.split(",")]
+    if not all(map(is_natural, parts)):
         raise ValueError(f"node entries must be naturals: {text!r}")
-    return node
+    return tuple(map(int, parts))
 
 
 def all_nodes(max_len: int, max_entry: int) -> list[Node]:
@@ -187,6 +193,6 @@ def check_slice_access(code: int, inputs, family, node,
     return SliceAccessReport(tuple(node), tuple(rows))
 
 
-def slice_probe_program(k: int, s: int = 0):
-    """Program that queries pair(k, s) and halts with the answer bit."""
-    return tuple([Inc(1)] * pair(k, s) + [Query(1, 0), HALT])
+def slice_probe_program(k: int):
+    """Program that queries pair(k, 0) and halts with the answer bit."""
+    return tuple([Inc(1)] * pair(k, 0) + [Query(1, 0), HALT])

@@ -379,8 +379,6 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
     """The single-step interpreter.  `resume` is (pc, steps, registers,
     entries): the state a block function hands over when its next block
     would pass the budget."""
-    if fuel < 0:
-        raise ValueError("fuel must be a natural number")
     ops, arg1, arg2, nregs = compiled
     n = len(ops)
     regs = [0] * nregs
@@ -569,10 +567,7 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
         return [f"{pad}if steps + {cost} > fuel:", f"{pad}    break", *out]
 
     regs = [f"r{i}" for i in range(nregs)]
-    lines = ["def block_run(x, oracle, fuel):",
-             "    if fuel < 0:",
-             "        raise ValueError('fuel must be a natural number')",
-             "    r0 = x"]
+    lines = ["def block_run(x, oracle, fuel):", "    r0 = x"]
     if not heads:  # the empty program
         lines.append("    return _result(Converged(r0), 0, ())")
     else:
@@ -623,6 +618,8 @@ def _compiled_from_code(code: int) -> _Entry:
 
 def run(code: int, x: int, oracle: Oracle = BLOCK_ALL, fuel: int = DEFAULT_FUEL) -> RunResult:
     """Run the program numbered `code` on input x with a step budget."""
+    if fuel < 0:  # the one check, for both engines
+        raise ValueError("fuel must be a natural number")
     entry = _compiled_from_code(code)
     if entry.fn is not None:
         return entry.fn(x, oracle, fuel)
@@ -732,20 +729,20 @@ def run_decider(code: int, x: int, oracle: Oracle = BLOCK_ALL,
     raise DeciderPartial(f"decider exceeded fuel {fuel} at input {x}")
 
 
-def random_program(rng, max_len: int = 10, max_reg: int = 3) -> Program:
-    """A random small program; jump targets may land anywhere, loops included."""
+def random_program(rng, max_len: int = 10) -> Program:
+    """A random small program over r0-r3; jumps may land anywhere, loops included."""
     n = rng.randint(0, max_len)
     out: list[Instruction] = []
     for _ in range(n):
         k = rng.randrange(8)
         if k < 3:
-            out.append(Inc(rng.randrange(max_reg + 1)))
+            out.append(Inc(rng.randrange(4)))
         elif k < 5:
-            out.append(Decjz(rng.randrange(max_reg + 1), rng.randrange(max_len + 3)))
+            out.append(Decjz(rng.randrange(4), rng.randrange(max_len + 3)))
         elif k == 5:
             out.append(Jmp(rng.randrange(max_len + 3)))
         elif k == 6:
-            out.append(Query(rng.randrange(max_reg + 1), rng.randrange(max_reg + 1)))
+            out.append(Query(rng.randrange(4), rng.randrange(4)))
         else:
             out.append(HALT)
     return tuple(out)

@@ -6,10 +6,21 @@ then run the encoded programs through the machine proper.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import product
+from typing import Callable, Iterator, Sequence
 
-from fanlab.fan import load_constant_block
-from fanlab.machine import Answer, Decjz, FnOracle, Halt, Inc, Instruction, Jmp, Program, Query
+from fanlab.fan import (
+    PATH_SLICE,
+    ExtractionExhausted,
+    PathOracle,
+    RealizerOutOfFuel,
+    UniformBound,
+    apply_realizer_to_path,
+    load_constant_block,
+)
+from fanlab.machine import (
+    Answer, Decjz, FnOracle, Halt, Inc, Instruction, Jmp, Program, Query, pair,
+)
 from fanlab.trees import Bits, bits_to_code
 
 
@@ -100,4 +111,95 @@ def mod_decider_program(mod: int, residue: int) -> Program:
     yes, no = mod + 1, mod + 3
     prog: list[Instruction] = [Decjz(0, yes if i == residue else no) for i in range(mod)]
     prog += [Jmp(0), Inc(0), Halt()]
+    return tuple(prog)
+
+
+# ---------------------------------------------------------------------------
+# Plain extraction reference
+
+def plain_uncovered(members, n: int) -> tuple[Bits, ...]:
+    """Length-n sequences with no prefix in `members`: all 2^n of them
+    scanned in lexicographic order, n + 1 prefixes tested each."""
+    return tuple(bits for bits in product((0, 1), repeat=n)
+                 if not any(bits[:k] in members for k in range(n + 1)))
+
+
+def reference_extract_bound(realizer, *, n_max: int = 16) -> UniformBound:
+    """A plain reference for `fan.extract_bound`: the commits live in a set,
+    and every stage scans all 2^n sequences with a prefix test, before and
+    after its commits."""
+    members: set[Bits] = set()
+    outputs: set[Bits] = set()
+    for n in range(n_max + 1):
+        candidates = plain_uncovered(members, n)
+        stage_commits: list[Bits] = []
+        for bits in candidates:
+            path = PathOracle.zero_extended(bits)
+            try:
+                prefix, _use = apply_realizer_to_path(realizer, path)
+            except RealizerOutOfFuel:
+                raise ExtractionExhausted(n, candidates, "realizer fuel",
+                                          bits, realizer.fuel) from None
+            outputs.add(prefix)
+            if len(prefix) <= n:
+                for tail in product((0, 1), repeat=n - len(prefix)):
+                    stage_commits.append(prefix + tail)
+            else:
+                stage_commits.append(prefix)
+        members.update(stage_commits)
+        if not plain_uncovered(members, n):
+            certificate = {
+                bits: next(bits[:k] for k in range(n + 1) if bits[:k] in members)
+                for bits in product((0, 1), repeat=n)
+            }
+            return UniformBound(n, certificate, frozenset(outputs))
+    raise ExtractionExhausted(n_max, plain_uncovered(members, n_max), "stage limit")
+
+
+def extraction_result(extract, realizer, **kwargs) -> tuple:
+    """A whole extraction result, comparable with ==: the bound, its
+    certificate in order and the outputs, or every field of the exhaustion."""
+    try:
+        bound = extract(realizer, **kwargs)
+    except ExtractionExhausted as exc:
+        return ("exhausted", exc.stage, exc.uncovered, exc.reason, exc.sequence,
+                exc.steps, str(exc))
+    return ("bound", bound.n, list(bound.certificate.items()), bound.realizer_outputs)
+
+
+def covering_tables(depth: int, prefix: Bits = ()) -> Iterator[tuple[Bits, ...]]:
+    """Every prefix-free table below `prefix` that covers each path through
+    it by length len(prefix) + depth: a(d) = a(d - 1)^2 + 1 of them."""
+    yield (prefix,)
+    if depth:
+        for left in covering_tables(depth - 1, prefix + (0,)):
+            for right in covering_tables(depth - 1, prefix + (1,)):
+                yield left + right
+
+
+def lookahead_realizer_program(answer: Callable[[Bits], Bits], depth: int) -> Program:
+    """Reads path bits 0..depth-1 and returns the code of answer(those bits),
+    a prefix of them that may be shorter than what was read: the decision
+    tree of `fan.compile_bar_table`, with every leaf at depth `depth`."""
+    prog: list[Instruction] = []
+    end_holes: list[int] = []
+
+    def emit(prefix: Bits, r1_value: int) -> None:
+        if len(prefix) == depth:
+            prog.extend(load_constant_block(bits_to_code(answer(prefix)), len(prog)))
+            end_holes.append(len(prog))
+            prog.append(Jmp(0))  # patched to the end
+            return
+        q = pair(PATH_SLICE, len(prefix))
+        prog.extend([Inc(1)] * (q - r1_value))
+        prog.append(Query(1, 6))
+        hole = len(prog)
+        prog.append(Jmp(0))  # patched: zero branch
+        emit(prefix + (1,), q)
+        prog[hole] = Decjz(6, len(prog))
+        emit(prefix + (0,), q)
+
+    emit((), 0)
+    for i in end_holes:
+        prog[i] = Jmp(len(prog))
     return tuple(prog)

@@ -340,6 +340,43 @@ def test_negative_or_non_numeric_counts_exit_2(argv, capsys):
     assert "Traceback" not in err
 
 
+def _exit_status(argv) -> int:
+    try:
+        return main(list(argv))
+    except SystemExit as exc:  # argparse rejects the arguments
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ("kleene", "--depth", "\u0663"),  # Arabic-Indic 3
+    ("decode", "\u0667\u0666"),  # Arabic-Indic 76
+    ("eval", "76", "1_0"),
+    ("eval", "76", "0", "--fuel", " 5_0"),
+    ("eval", "76", "0", "--fuel", "+5"),
+])
+def test_counts_take_only_ascii_digits(argv, capsys):
+    """`int` reads these, the one grammar of naturals does not."""
+    assert _exit_status(argv) == 2
+    err = capsys.readouterr().err
+    assert "expected a natural number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("node", ["\u0661", "1_0", "+1", "1,+2"])
+def test_node_entries_take_only_ascii_digits(node, capsys):
+    argv = ("eval", str(ASM_DIR / "slice_probe.asm"), "0", "--node", node)
+    assert _exit_status(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: bad node" in err and "must be naturals" in err
+
+
+@pytest.mark.parametrize("seed", ["x", "-1", "+1", "1_0", "\u0661", ""])
+def test_seed_env_takes_only_naturals(seed, monkeypatch, capsys):
+    monkeypatch.setenv("FANLAB_SEED", seed)
+    assert _exit_status(("check", "persistence", "--trials", "2")) == 2
+    err = capsys.readouterr().err
+    assert "error: FANLAB_SEED must be a natural number" in err and "Traceback" not in err
+
+
 def test_census_and_wwkl_take_no_node(capsys):
     for command in ("census", "wwkl"):
         with pytest.raises(SystemExit) as exit_info:

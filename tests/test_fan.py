@@ -2,9 +2,12 @@
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from fanlab.cli import parse_assembly
 from fanlab.fan import (
     BarRealizer,
     CoverSet,
@@ -44,8 +47,16 @@ from fanlab.machine import (
 from fanlab.kripke import GroundReal, node_oracle
 from fanlab.trees import bits_to_code
 
-from helpers import table_oracle
+from helpers import (
+    covering_tables,
+    extraction_result,
+    lookahead_realizer_program,
+    plain_uncovered,
+    reference_extract_bound,
+    table_oracle,
+)
 
+ASM_DIR = Path(__file__).resolve().parents[1] / "scripts" / "asm"
 EMPTY_REALIZER = encode_program(())
 TAKE3 = encode_program(take_prefix_program(3))
 SPLIT = encode_program(first_bit_split_program())
@@ -182,6 +193,18 @@ def test_cover_set_uncovered_census():
     assert cover.uncovered(2) == ((0, 0), (0, 1))
 
 
+sequences = st.lists(st.integers(0, 1), max_size=5).map(tuple)
+
+
+@given(st.lists(sequences, max_size=12))
+def test_cover_set_frontier_walk_equals_the_plain_scan(commits):
+    cover = CoverSet()
+    for bits in commits:
+        cover.commit(bits)
+    for n in range(7):
+        assert cover.uncovered(n) == plain_uncovered(set(commits), n), n
+
+
 # ---------------------------------------------------------------------------
 # Extraction
 
@@ -258,6 +281,58 @@ def test_extraction_fuel_exhaustion_after_longer_commits():
     assert (exc.stage, exc.reason) == (2, "realizer fuel")
     assert exc.uncovered == ((0, 1), (1, 1))
     assert exc.sequence == (1, 1) and exc.steps == 10_000
+
+
+# ---------------------------------------------------------------------------
+# Extraction against the plain reference loop
+
+def assert_matches_reference(realizer, **kwargs):
+    expected = extraction_result(reference_extract_bound, realizer, **kwargs)
+    assert extraction_result(extract_bound, realizer, **kwargs) == expected
+    return expected
+
+
+def asm_realizer(name: str, **kwargs) -> BarRealizer:
+    return BarRealizer(encode_program(parse_assembly((ASM_DIR / name).read_text())), **kwargs)
+
+
+def test_extraction_matches_reference_on_every_small_table():
+    tables = list(covering_tables(3))
+    assert len(tables) == 26
+    for table in tables:
+        realizer = BarRealizer(encode_program(compile_bar_table(table)))
+        depth = max(map(len, table))
+        assert assert_matches_reference(realizer)[0] == "bound", table
+        for n_max in range(depth):  # stops whose commits cover part of the stage
+            assert_matches_reference(realizer, n_max=n_max)
+
+
+def test_extraction_matches_reference_on_realizers_that_read_ahead(rng):
+    """Answers shorter than the part of the path read: a stage-n candidate
+    can get an answer shorter than n that no earlier stage committed."""
+    for _ in range(40):
+        cut = {bits: rng.randrange(4) for bits in product((0, 1), repeat=3)}
+        program = lookahead_realizer_program(lambda bits: bits[:cut[bits]], 3)
+        assert_matches_reference(BarRealizer(encode_program(program)))
+
+
+def test_extraction_matches_reference_on_take_prefix_realizers():
+    for k in range(1, 7):
+        result = assert_matches_reference(BarRealizer(encode_program(take_prefix_program(k))))
+        assert result[:2] == ("bound", k)
+
+
+def test_extraction_matches_reference_on_the_asm_realizers():
+    assert assert_matches_reference(asm_realizer("first_bit.asm"))[:2] == ("bound", 1)
+    result = assert_matches_reference(asm_realizer("first_zero.asm"), n_max=6)
+    assert result[:4] == ("exhausted", 6, ((1,) * 6,), "stage limit")
+
+
+def test_extraction_matches_reference_on_realizer_fuel():
+    # first_zero.asm spends more steps on longer answers, so a small budget
+    # runs out past stage 0, on the all-ones sequence.
+    result = assert_matches_reference(asm_realizer("first_zero.asm", fuel=2_000))
+    assert result[:4] == ("exhausted", 5, ((1,) * 5,), "realizer fuel")
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,13 @@ def test_parse_node_rejects_junk():
         parse_node("0,0,-2")
 
 
+def test_parse_node_takes_ascii_digits_and_strips_parts():
+    assert parse_node(" 1, 2 ,3 ") == (1, 2, 3)
+    for junk in ("\u0661", "1_0", "+1", "1,+2", "1, -2", "\u00b2"):
+        with pytest.raises(ValueError, match="must be naturals"):
+            parse_node(junk)
+
+
 def _flipped(entry: int, n: int = 6) -> frozenset[int]:
     """Elements s < n of slice 0 whose answer at node (entry,) differs from
     the ground real's: the flip set named by the entry."""
