@@ -331,7 +331,7 @@ def _cmd_decode(args) -> int:
 def _cmd_eval(args) -> int:
     code = _program_arg(args.program)
     res = run(code, args.input, _node_oracle(_family(args), args.node), args.fuel)
-    slices = {unpair(q)[0] for q, _ in res.trace.entries}
+    slices = {unpair(q)[0] for q in res.trace.queries}
     match res.outcome:
         case Converged(value):
             print(f"outcome Converged {value}")

@@ -183,12 +183,12 @@ def check_slice_access(code: int, inputs, family, node,
     rows = []
     for x in inputs:
         res = run(code, x, oracle, fuel)
-        asked = {q for q, _ in res.trace.entries}
+        asked = set(res.trace.queries)
         if isinstance(res.outcome, Blocked):
             asked.add(res.outcome.query)
         for q in asked.difference(slice_of):
             slice_of[q] = unpair(q)[0]
-        slices = frozenset([slice_of[q] for q in asked])
+        slices = frozenset(map(slice_of.__getitem__, asked))
         rows.append(SliceAccessRow(x, res.outcome, slices, res.trace))
     return SliceAccessReport(tuple(node), tuple(rows))
 

@@ -12,17 +12,17 @@ registers:
                  answer into register d (Yes -> 1, No -> 0)
     HALT         stop; the result is register 0
 
-Control starts at instruction 0 with the input in register 0 and every other
-register 0.  A jump target at or past the end of the program halts the
-machine, so every natural number is a valid target.  Each executed instruction
-costs one fuel unit (oracle queries included); a run that would need more
-steps than its budget ends in ``OutOfFuel()``.  If the oracle declines to answer
-a query (``Answer.BLOCKED``) the run aborts with a ``Blocked(query)`` outcome:
-there is no machine-visible way to continue past an unanswered question.  A
-run that halts ends in ``Converged(value)`` with register 0 as the value.
-Outcomes carry only their own data: ``run`` returns ``RunResult(outcome,
-steps, trace)``, and the trace of answered queries lives on ``RunResult.trace``
-alone.
+Control starts at instruction 0 with the input, a natural number, in register
+0 and every other register 0.  A jump target at or past the end of the program
+halts the machine, so every natural number is a valid target.  Each executed
+instruction costs one fuel unit (oracle queries included); a run that would
+need more steps than its budget ends in ``OutOfFuel()``.  If the oracle
+declines to answer a query (``Answer.BLOCKED``) the run aborts with a
+``Blocked(query)`` outcome: there is no machine-visible way to continue past
+an unanswered question.  A run that halts ends in ``Converged(value)`` with
+register 0 as the value.  ``run`` returns ``RunResult(outcome, steps,
+trace)``, the trace being the answered queries in order and one answer bit
+each; ``trace.entries`` views them as ``(query, answer)`` pairs.
 
 The interpreter applies countdown cycles
 ``h: DECJZ r x0; ...; DECJZ r x(m-1); INC a...; JMP h`` (m >= 1 tests of the
@@ -267,13 +267,24 @@ DEFAULT_FUEL = 100_000  # step budget wherever a caller names none
 
 @dataclass(frozen=True)
 class QueryTrace:
-    """Answered queries, in order.  A blocking query is not an entry."""
+    """Answered queries in order, one answer bit each (1 = Yes); `entries`
+    views them as `(query, answer)` pairs.  A blocking query is not answered."""
 
-    entries: tuple[tuple[int, Answer], ...] = ()
+    queries: tuple[int, ...] = ()
+    answers: bytes = b""
+
+    @classmethod
+    def of(cls, pairs: Iterable[tuple[int, Answer]]) -> QueryTrace:
+        pairs = tuple(pairs)
+        return cls(tuple(q for q, _ in pairs), bytes(a is YES for _, a in pairs))
+
+    @property
+    def entries(self) -> tuple[tuple[int, Answer], ...]:
+        return tuple(zip(self.queries, map((NO, YES).__getitem__, self.answers)))
 
     @property
     def max_query(self) -> int | None:
-        return max((q for q, _ in self.entries), default=None)
+        return max(self.queries, default=None)
 
 
 @dataclass(frozen=True)
@@ -370,29 +381,26 @@ _NO_QUERIES = QueryTrace()  # shared by every run that answered nothing
 _OUT_OF_FUEL = OutOfFuel()  # shared by every run that ran out of fuel
 
 
-def _result(outcome: EvalOutcome, steps: int, entries) -> RunResult:
+def _result(outcome: EvalOutcome, steps: int, queries, answers) -> RunResult:
     """The one constructor of both engines' results."""
-    return RunResult(outcome, steps, QueryTrace(tuple(entries)) if entries else _NO_QUERIES)
+    trace = QueryTrace(tuple(queries), bytes(answers)) if queries else _NO_QUERIES
+    return RunResult(outcome, steps, trace)
 
 
 def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunResult:
     """The single-step interpreter.  `resume` is (pc, steps, registers,
-    entries): the state a block function hands over when its next block
-    would pass the budget."""
+    queries, answers): the state a block function hands over when its next
+    block would pass the budget."""
     ops, arg1, arg2, nregs = compiled
     n = len(ops)
     regs = [0] * nregs
     regs[0] = x
-    pc = 0
-    steps = 0
-    entries: list[tuple[int, Answer]] = []
-    if resume is not None:
-        pc, steps, regs, entries = resume
+    pc, steps, regs, queries, answers = resume or (0, 0, regs, [], bytearray())
     answer = oracle.answer
     yes, no = YES, NO
     while True:
         if pc >= n:
-            return _result(Converged(regs[0]), steps, entries)
+            return _result(Converged(regs[0]), steps, queries, answers)
         if steps == fuel:
             break
         op = ops[pc]
@@ -418,8 +426,9 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
             elif ans is no:
                 regs[arg2[pc]] = 0
             else:
-                return _result(Blocked(q), steps, entries)
-            entries.append((q, ans))
+                return _result(Blocked(q), steps, queries, answers)
+            queries.append(q)
+            answers.append(ans is yes)
             pc += 1
         # A LOOP holds no query, so a budget that ends inside one ends the
         # run there: OutOfFuel after exactly `fuel` steps, trace unchanged.
@@ -448,8 +457,8 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
             regs[r] -= 1
             pc += 1
         else:
-            return _result(Converged(regs[0]), steps, entries)
-    return _result(_OUT_OF_FUEL, fuel, entries)
+            return _result(Converged(regs[0]), steps, queries, answers)
+    return _result(_OUT_OF_FUEL, fuel, queries, answers)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +493,7 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
     def goto(target: int, more, pad: str) -> list[str]:
         """Leave for `target` after charging `more` steps."""
         if target >= n:
-            return [f"{pad}return _result(Converged(r0), steps + {more}, entries)"]
+            return [f"{pad}return _result(Converged(r0), steps + {more}, queries, answers)"]
         return [f"{pad}steps += {more}", f"{pad}pc = {target}", f"{pad}continue"]
 
     def loop(h: int, pad: str) -> list[str]:
@@ -545,12 +554,13 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
                         f"{pad}elif a is no:",
                         f"{pad}    r{arg2[pc]} = 0",
                         f"{pad}else:",
-                        f"{pad}    return _result(Blocked(q), steps + {cost}, entries)",
-                        f"{pad}append((q, a))"]
+                        f"{pad}    return _result(Blocked(q), steps + {cost}, queries, answers)",
+                        f"{pad}append(q)",
+                        f"{pad}bit(r{arg2[pc]})"]
             elif op == _OP_DECJZ or op == _OP_WAIT:
                 out.append(f"{pad}if not r{arg1[pc]}:")
                 if op == _OP_WAIT:  # never leaves once the register is 0
-                    out.append(f"{pad}    return _result(_OUT_OF_FUEL, fuel, entries)")
+                    out.append(f"{pad}    return _result(_OUT_OF_FUEL, fuel, queries, answers)")
                 else:
                     out += goto(arg2[pc], cost, pad + "    ")
                 out.append(f"{pad}r{arg1[pc]} -= 1")
@@ -558,10 +568,10 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
                 out += goto(arg2[pc], cost, pad)
                 break
             elif op == _OP_SPIN:
-                out.append(f"{pad}return _result(_OUT_OF_FUEL, fuel, entries)")
+                out.append(f"{pad}return _result(_OUT_OF_FUEL, fuel, queries, answers)")
                 break
             else:
-                out.append(f"{pad}return _result(Converged(r0), steps + {cost}, entries)")
+                out.append(f"{pad}return _result(Converged(r0), steps + {cost}, queries, answers)")
                 break
             pc += 1
         return [f"{pad}if steps + {cost} > fuel:", f"{pad}    break", *out]
@@ -569,19 +579,18 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
     regs = [f"r{i}" for i in range(nregs)]
     lines = ["def block_run(x, oracle, fuel):", "    r0 = x"]
     if not heads:  # the empty program
-        lines.append("    return _result(Converged(r0), 0, ())")
+        lines.append('    return _result(Converged(r0), 0, (), b"")')
     else:
         if nregs > 1:
             lines.append("    " + " = ".join(regs[1:]) + " = 0")
         lines += ["    steps = pc = 0",
-                  "    entries = []",
-                  "    append = entries.append",
-                  "    answer = oracle.answer",
+                  "    queries, answers = [], bytearray()",
+                  "    answer, append, bit = oracle.answer, queries.append, answers.append",
                   "    yes, no = YES, NO",
                   "    while True:",
                   *_dispatch(heads, superblock, 0, len(heads), " " * 8),
                   f"    return _execute(tables, r0, oracle, fuel, "
-                  f"(pc, steps, [{', '.join(regs)}], entries))"]
+                  f"(pc, steps, [{', '.join(regs)}], queries, answers))"]
     namespace = {"_execute": _execute, "_result": _result, "Converged": Converged,
                  "Blocked": Blocked, "_OUT_OF_FUEL": _OUT_OF_FUEL, "tables": tables,
                  "YES": YES, "NO": NO}
@@ -618,8 +627,8 @@ def _compiled_from_code(code: int) -> _Entry:
 
 def run(code: int, x: int, oracle: Oracle = BLOCK_ALL, fuel: int = DEFAULT_FUEL) -> RunResult:
     """Run the program numbered `code` on input x with a step budget."""
-    if fuel < 0:  # the one check, for both engines
-        raise ValueError("fuel must be a natural number")
+    if x < 0 or fuel < 0:  # the one check, for both engines
+        raise ValueError("the input and the fuel must be natural numbers")
     entry = _compiled_from_code(code)
     if entry.fn is not None:
         return entry.fn(x, oracle, fuel)

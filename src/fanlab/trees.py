@@ -17,9 +17,8 @@ from one run per e < n_max and one counting pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, product
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .machine import (
     BLOCK_ALL,
@@ -34,6 +33,9 @@ from .machine import (
     run_decider,
     unpair,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Bits = tuple[int, ...]
 
@@ -214,6 +216,7 @@ def level_census(tree: DecidableTree, n_max: int) -> tuple[int, ...]:
 def measure_upper(tree: DecidableTree, n: int) -> Fraction:
     """Exact fraction of level n inside the tree; an upper bound on the
     measure of the set of paths, which WWKL's hypothesis asks to be positive."""
+    from fractions import Fraction  # on call: no command needs it, and it imports decimal
     return Fraction(level_census(tree, n)[n], 1 << n)
 
 

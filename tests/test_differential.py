@@ -37,7 +37,7 @@ def reference_run(program: Program, x: int, oracle: Oracle, fuel: int) -> RunRes
     entries: list[tuple[int, Answer]] = []
     while pc < len(program):
         if steps == fuel:
-            return RunResult(OutOfFuel(), steps, QueryTrace(tuple(entries)))
+            return RunResult(OutOfFuel(), steps, QueryTrace.of(entries))
         ins = program[pc]
         steps += 1
         pc += 1
@@ -54,12 +54,12 @@ def reference_run(program: Program, x: int, oracle: Oracle, fuel: int) -> RunRes
             q = regs[ins.src]
             ans = oracle.answer(q)
             if ans is Answer.BLOCKED:
-                return RunResult(Blocked(q), steps, QueryTrace(tuple(entries)))
+                return RunResult(Blocked(q), steps, QueryTrace.of(entries))
             regs[ins.dst] = int(ans is Answer.YES)
             entries.append((q, ans))
         else:
             break  # HALT
-    trace = QueryTrace(tuple(entries))
+    trace = QueryTrace.of(entries)
     return RunResult(Converged(regs[0]), steps, trace)
 
 
@@ -213,17 +213,17 @@ def test_self_waiting_decjz_reached_by_a_jump():
         assert_same_at_every_fuel(program, x)
         assert_same_at_every_fuel(behind_loop, x)
     # x = 1 asks 2, is told No, jumps back to 3 with r1 empty and waits there.
-    trace = QueryTrace(((2, Answer.NO),))
+    trace = QueryTrace.of(((2, Answer.NO),))
     assert block_result(program, 1, 50) == RunResult(OutOfFuel(), 50, trace)
     assert block_result(program, 0, 50) == RunResult(
-        Converged(1), 7, QueryTrace(((1, Answer.YES),)))
+        Converged(1), 7, QueryTrace.of(((1, Answer.YES),)))
 
 
 def test_query_blocking_inside_a_superblock():
     """The second query blocks after 7 of the superblock's 9 steps."""
     program = (*[Inc(1)] * 4, Query(0, 2), Inc(3), Query(1, 2), Inc(0), HALT)
     assert_same_at_every_fuel(program, 1)
-    trace = QueryTrace(((1, Answer.YES),))
+    trace = QueryTrace.of(((1, Answer.YES),))
     assert block_result(program, 1, 100) == RunResult(Blocked(4), 7, trace)
 
 
@@ -232,7 +232,7 @@ def test_superblock_crossing_the_budget():
     interpreter, which stops at exactly 5 with the trace so far."""
     program = (Query(0, 1), *[Inc(2)] * 8, HALT)
     assert_same_at_every_fuel(program, 2)
-    trace = QueryTrace(((2, Answer.NO),))
+    trace = QueryTrace.of(((2, Answer.NO),))
     assert block_result(program, 2, 5) == RunResult(OutOfFuel(), 5, trace)
     assert block_result(program, 2, 10) == RunResult(Converged(2), 10, trace)
 
@@ -243,7 +243,7 @@ def test_loop_block_rounds_crossing_the_budget():
     program = (Query(0, 2), Decjz(0, 4), Inc(1), Jmp(1), HALT)
     assert machine._compile(program)[0][1] == machine._OP_LOOP
     assert_same_at_every_fuel(program, 10)
-    trace = QueryTrace(((10, Answer.NO),))
+    trace = QueryTrace.of(((10, Answer.NO),))
     assert block_result(program, 10, 20) == RunResult(OutOfFuel(), 20, trace)
     assert block_result(program, 10, 33) == RunResult(Converged(0), 33, trace)
 

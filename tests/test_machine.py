@@ -1,5 +1,6 @@
 """Machine model: pairing, numbering, evaluation, currying."""
 
+import functools
 import gc
 import random
 
@@ -248,8 +249,26 @@ def test_blocking_query_not_in_trace():
     ))
     r = run(e, 0, oracle, 100)
     assert r.outcome == Blocked(2)
-    assert r.trace == QueryTrace(((0, Answer.YES), (1, Answer.NO)))
+    assert r.trace == QueryTrace.of(((0, Answer.YES), (1, Answer.NO)))
     assert r.trace.max_query == 1
+
+
+# Short lists over small queries, so that equal traces occur as well as unequal ones.
+answered = st.tuples(st.integers(0, 2) | naturals, st.sampled_from([Answer.YES, Answer.NO]))
+pair_lists = st.lists(answered, max_size=4).map(tuple)
+
+
+@given(pair_lists, pair_lists)
+def test_query_trace_of_pairs_round_trips(pairs, other):
+    trace = QueryTrace.of(pairs)
+    assert trace.entries == pairs
+    assert all(got is want for (_, got), (_, want) in zip(trace.entries, pairs))
+    assert trace.max_query == max((q for q, _ in pairs), default=None)
+    assert (trace == QueryTrace.of(other)) == (pairs == other)
+    if pairs == other:
+        assert hash(trace) == hash(QueryTrace.of(other))
+    if not pairs:
+        assert trace == machine._NO_QUERIES
 
 
 def test_results_share_the_empty_trace_and_out_of_fuel():
@@ -444,6 +463,38 @@ def test_hot_program_rejects_negative_fuel(generated):
     run_until_hot(code, 100)
     with pytest.raises(ValueError):
         run(code, 3, THIRDS, fuel=-1)
+
+
+def test_run_rejects_a_negative_input(generated):
+    """Inputs are naturals.  On -3 the transfer loop below would be charged
+    -3 rounds, a negative step count, where stepping it one instruction at a
+    time never ends; `run` refuses it, cold and hot."""
+    code = encode_program((Decjz(0, 3), Inc(1), Jmp(0), HALT))
+    with pytest.raises(ValueError):
+        run(code, -3, fuel=50)
+    run_until_hot(code, 100)
+    assert generated
+    with pytest.raises(ValueError):
+        run(code, -3, fuel=50)
+
+
+@pytest.mark.parametrize("hot", [False, True])
+def test_answers_leave_nothing_for_the_collector(hot):
+    """A trace is a list of queries and a bytearray of answer bits while it
+    grows, so 5,000 answers add a handful of objects the cyclic collector
+    tracks, not one per answer."""
+    tables = machine._compile(QUERY_LOOP)
+    engine = machine._generate(tables) if hot else functools.partial(machine._execute, tables)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects(0))
+        res = engine(5_000, THIRDS, DEFAULT_FUEL)
+        added = len(gc.get_objects(0)) - before
+    finally:
+        gc.enable()
+    assert res.outcome == Converged(3_333) and len(res.trace.entries) == 5_000
+    assert added < 100
 
 
 def test_decider_partial_propagates_from_block_code(generated):
