@@ -33,7 +33,18 @@ With k INCs a round takes ``m + k + 1`` steps and m from r.  For
 then j tests that decrement and the one that finds r zero: it costs
 ``rounds*(m+k+1) + j + 1`` steps, adds ``rounds`` to each a per occurrence,
 empties r and continues at ``xj``.  With m = 1 that is the transfer loop
-``h: DECJZ r x; INC a...; JMP h`` and its ``v*(k+2)+1`` steps.  Steps,
+``h: DECJZ r x; INC a...; JMP h`` and its ``v*(k+2)+1`` steps.
+
+Series cycles, the unary Cantor pairing of ``pairing_prelude``, are one
+dispatch too: ``h: DECJZ r x; INC a...`` (k INCs, none of r or u), then L1,
+a transfer loop on t with u once and r never among its INCs, exiting to L2,
+the transfer loop ``DECJZ u; INC t; JMP`` back to h, u neither r nor t.
+Entered with ``r = v >= 1`` and ``u = 0``, its rounds move summands adding up
+to ``S = v(v-1)/2`` when t is r, else ``S = v*w0 + d*v(v+1)/2`` (w0 is t on
+entry, d its INCs in the head).  With L1 and L2 costing p1 and p2 steps a
+round, the cycle costs ``v*(k+3) + S*(p1+p2) + 1`` steps, adds v per
+occurrence to each head INC and S to each other INC of L1, empties r and u
+and continues at x.  With u not 0 it takes just its DECJZ step.  Steps,
 outcomes and traces are exactly those of executing one instruction at a
 time, at every fuel.
 
@@ -43,17 +54,18 @@ Compiled forms
 registers renumbered densely (register 0 stays 0), and keeps them in one
 cache, ``_compiled_from_code``, keyed by code.  A program that has run hot is
 compiled from those tables into one generated Python function, kept in the
-same entry.  A program turns hot once its runs together have taken
-``3000 + 100 * n`` steps, n its instruction count: by then the interpreter
-has spent about what generating the function costs.  Table realizers and the
-Kleene tree's programs, which run few steps in all, stay interpreted.  The
-function keeps registers in locals and dispatches only at pc 0 and jump
-targets; from each of those it runs straight through every fall-through,
-checks fuel once per such superblock and charges a loop's rounds at once.
-When a superblock could pass the budget, it hands its state to the
-interpreter, so steps, outcomes and traces stay exactly those above:
-``OutOfFuel`` at ``steps == fuel``, and a blocking query with the steps up to
-itself.
+same entry.  A program turns hot once its interpreted runs together have
+taken ``1500 + 20 * n`` dispatches, n its instruction count, a plain step
+and a macro counting one each: by then the interpreter has spent about what
+generating the function costs (``run`` gives the measurements).  Deciders
+of a few dispatches a run, table realizers and the Kleene tree's programs
+stay interpreted.  The function keeps registers in locals and dispatches
+only at pc 0 and jump targets; from each of those it runs straight through
+every fall-through, checks fuel once per such superblock and charges a
+macro's rounds at once.  When a superblock could pass the budget, it hands
+its state to the interpreter, so steps, outcomes and traces stay exactly
+those above: ``OutOfFuel`` at ``steps == fuel``, and a blocking query with
+the steps up to itself.
 
 Numbering
 ---------
@@ -323,6 +335,11 @@ _OP_INC, _OP_DECJZ, _OP_JMP, _OP_QUERY, _OP_HALT = range(5)
 _OP_LOOP = 5
 _OP_SPIN = 6   # JMP h at h: never leaves
 _OP_WAIT = 7   # DECJZ r h at h: never leaves once r is zero
+# SERIES is a series cycle h: DECJZ r x; INC a...; L1; L2 (module docstring).
+# arg1 is r, arg2 is (x, t, u, d, k + 3, p1 + p2, head, moved): d is -1 when t
+# is r, head and moved the (reg, count) pairs of the head INCs and of L1's
+# INCs other than u.
+_OP_SERIES = 8
 
 
 def _compile(program: Program) -> tuple[tuple[int, ...], tuple, tuple, int]:
@@ -358,6 +375,7 @@ def _compile(program: Program) -> tuple[tuple[int, ...], tuple, tuple, int]:
 def _attach_macros(ops: list[int], arg1: list, arg2: list) -> None:
     """Rewrite loop heads into macro-ops, in place."""
     n = len(ops)
+    loops = []
     for h in range(n):
         if ops[h] == _OP_JMP and arg2[h] == h:
             ops[h] = _OP_SPIN
@@ -375,6 +393,22 @@ def _attach_macros(ops: list[int], arg1: list, arg2: list) -> None:
             if j < n and ops[j] == _OP_JMP and arg2[j] == h and r not in body:
                 ops[h] = _OP_LOOP
                 arg2[h] = (tuple(arg2[h:i]), j - h + 1, tuple(Counter(body).items()))
+                loops.append(h)
+    for l1 in loops if len(loops) > 1 else ():  # a series cycle holds two LOOPs
+        (l2, *more), p1, moved = arg2[l1]
+        if more or l2 >= n or ops[l2] != _OP_LOOP:
+            continue
+        (h, *more), p2, back = arg2[l2]
+        t, u = arg1[l1], arg1[l2]
+        if (more or h >= l1 or ops[h] != _OP_DECJZ
+                or ops[h + 1:l1].count(_OP_INC) != l1 - h - 1):  # h, then INCs up to L1
+            continue
+        r, head, moved = arg1[h], arg1[h + 1:l1], dict(moved)
+        if (back == ((t, 1),) and moved.pop(u, 0) == 1 and r not in moved and u != r
+                and r not in head and u not in head):
+            ops[h] = _OP_SERIES
+            arg2[h] = (arg2[h], t, u, -1 if t == r else head.count(t), l1 - h + 2,
+                       p1 + p2, tuple(Counter(head).items()), tuple(moved.items()))
 
 
 _NO_QUERIES = QueryTrace()  # shared by every run that answered nothing
@@ -387,10 +421,12 @@ def _result(outcome: EvalOutcome, steps: int, queries, answers) -> RunResult:
     return RunResult(outcome, steps, trace)
 
 
-def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunResult:
+def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None,
+             entry: _Entry | None = None) -> RunResult:
     """The single-step interpreter.  `resume` is (pc, steps, registers,
     queries, answers): the state a block function hands over when its next
-    block would pass the budget."""
+    block would pass the budget.  `entry`, when given, gains the dispatches
+    this run took: one per plain step and one per macro, whatever it charged."""
     ops, arg1, arg2, nregs = compiled
     n = len(ops)
     regs = [0] * nregs
@@ -398,9 +434,12 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
     pc, steps, regs, queries, answers = resume or (0, 0, regs, [], bytearray())
     answer = oracle.answer
     yes, no = YES, NO
+    bulk = 0  # steps that macros charged beyond their one dispatch
+    outcome = _OUT_OF_FUEL
     while True:
         if pc >= n:
-            return _result(Converged(regs[0]), steps, queries, answers)
+            outcome = Converged(regs[0])
+            break
         if steps == fuel:
             break
         op = ops[pc]
@@ -426,11 +465,12 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
             elif ans is no:
                 regs[arg2[pc]] = 0
             else:
-                return _result(Blocked(q), steps, queries, answers)
+                outcome = Blocked(q)
+                break
             queries.append(q)
             answers.append(ans is yes)
             pc += 1
-        # A LOOP holds no query, so a budget that ends inside one ends the
+        # A macro holds no query, so a budget that ends inside one ends the
         # run there: OutOfFuel after exactly `fuel` steps, trace unchanged.
         elif op == _OP_LOOP:
             r = arg1[pc]
@@ -440,14 +480,39 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
             if v:
                 if len(exits) > 1:  # v = rounds * m + j: rounds, j tests, exit j
                     v, j = divmod(v, len(exits))
-                    steps += j
                     pc = exits[j]
-                steps += v * per_round  # v rounds, then the DECJZ that exits
-                if steps > fuel:
+                    charge = v * per_round + j
+                else:
+                    charge = v * per_round  # v rounds, then the DECJZ that exits
+                if steps + charge > fuel:
                     break
+                steps += charge
+                bulk += charge
                 regs[r] = 0
                 for reg, count in counts:
                     regs[reg] += v * count
+        elif op == _OP_SERIES:
+            r = arg1[pc]
+            v = regs[r]
+            exit_, t, u, delta, per_round, per_unit, head, moved = arg2[pc]
+            if not v:
+                pc = exit_
+            elif regs[u]:  # not the state the rounds assume: one plain DECJZ
+                regs[r] = v - 1
+                pc += 1
+            else:  # v rounds moving s units in all, then the DECJZ that exits
+                s = v * regs[t] + delta * (v * (v + 1) // 2)
+                charge = v * per_round + s * per_unit
+                if steps + charge > fuel:
+                    break
+                steps += charge
+                bulk += charge
+                regs[r] = 0
+                for reg, count in head:
+                    regs[reg] += v * count
+                for reg, count in moved:
+                    regs[reg] += s * count
+                pc = exit_
         elif op == _OP_SPIN:
             break
         elif op == _OP_WAIT:
@@ -457,8 +522,11 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None) -> RunRes
             regs[r] -= 1
             pc += 1
         else:
-            return _result(Converged(regs[0]), steps, queries, answers)
-    return _result(_OUT_OF_FUEL, fuel, queries, answers)
+            outcome = Converged(regs[0])
+            break
+    if entry is not None:
+        entry.dispatches += steps - bulk
+    return _result(outcome, fuel if outcome is _OUT_OF_FUEL else steps, queries, answers)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +545,9 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
     that blocks charges the steps up to itself.  When the longest path would
     pass the budget, the function hands its state to `_execute` at the head,
     which then runs at most that many steps.  A LOOP macro is a superblock of
-    its own that charges all its rounds at once and leaves by one of its exits.
+    its own that charges all its rounds at once and leaves by one of its exits;
+    so is a SERIES macro, which hands a state its rounds do not assume
+    (u not 0) to `_execute` at its head.
     """
     ops, arg1, arg2, nregs = tables
     n = len(ops)
@@ -485,6 +555,8 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
     for pc, op in enumerate(ops):
         if op == _OP_LOOP:
             targets.update(arg2[pc][0])
+        elif op == _OP_SERIES:
+            targets.add(arg2[pc][0])
         elif op not in (_OP_INC, _OP_QUERY, _OP_HALT):
             targets.add(arg2[pc])
     heads = sorted(t for t in targets if t < n)
@@ -522,9 +594,31 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
                 f"{pad}    break",
                 *goto(exits[0], 1, pad)]
 
+    def series(h: int, pad: str) -> list[str]:
+        reg = arg1[h]
+        exit_, t, u, delta, per_round, per_unit, head, moved = arg2[h]
+        inner = pad + "    "
+        return [f"{pad}v = r{reg}",
+                f"{pad}if v:",
+                f"{inner}if r{u}:",  # not the state the rounds assume: _execute steps it
+                f"{inner}    break",
+                f"{inner}s = v * r{t} + {delta} * (v * (v + 1) // 2)",
+                f"{inner}cost = v * {per_round} + s * {per_unit} + 1",
+                f"{inner}if steps + cost > fuel:",
+                f"{inner}    break",
+                f"{inner}r{reg} = 0",
+                *(f"{inner}r{a} += v * {c}" for a, c in head),
+                *(f"{inner}r{a} += s * {c}" for a, c in moved),
+                *goto(exit_, "cost", inner),
+                f"{pad}if steps == fuel:",
+                f"{pad}    break",
+                *goto(exit_, 1, pad)]
+
     def superblock(h: int, pad: str) -> list[str]:
         if ops[h] == _OP_LOOP:
             return loop(h, pad)
+        if ops[h] == _OP_SERIES:
+            return series(h, pad)
         out: list[str] = []
         pending: dict[int, int] = {}  # INCs not yet written out
         cost = 0  # steps from the head to here
@@ -610,13 +704,14 @@ def _dispatch(heads: list[int], superblock, lo: int, hi: int, pad: str) -> list[
 
 class _Entry:
     """What `run` keeps per program code: the tables both engines read, the
-    steps run so far and, once the program is hot, its block function."""
+    dispatches its interpreted runs took so far and, once the program is
+    hot, its block function."""
 
-    __slots__ = ("tables", "steps", "fn")
+    __slots__ = ("tables", "dispatches", "fn")
 
     def __init__(self, tables):
         self.tables = tables
-        self.steps = 0
+        self.dispatches = 0
         self.fn = None
 
 
@@ -632,17 +727,21 @@ def run(code: int, x: int, oracle: Oracle = BLOCK_ALL, fuel: int = DEFAULT_FUEL)
     entry = _compiled_from_code(code)
     if entry.fn is not None:
         return entry.fn(x, oracle, fuel)
-    res = _execute(entry.tables, x, oracle, fuel)
-    entry.steps += res.steps
-    # Generating a block function costs about 0.3 ms plus 10 us per
-    # instruction, most of it in `compile`, and saves 100-150 ns per step of
-    # dispatch-bound code (Python 3.11, 2-vCPU host).  It is paid back after
-    # about 3,000 + 100 * n steps, n the program's length, so that is when a
-    # program turns hot: it has then spent in the interpreter what generation
-    # costs, the ski-rental rule, which never spends more than twice what the
-    # best choice in hindsight would have.  A ~1,000-instruction table
-    # realizer, run some 12,000 steps per extraction, stays interpreted.
-    if entry.steps >= 3_000 + 100 * len(entry.tables[0]):
+    res = _execute(entry.tables, x, oracle, fuel, None, entry)
+    # Hotness counts dispatches: block code saves time per dispatch, not per
+    # step.  Generating a block function costs G: 0.41 ms for a 7-instruction
+    # x mod m decider, 2.0-2.4 ms for take-6..8 (196-425 instructions), 7-12 ms
+    # for 706-1,025-instruction table realizers.  The interpreter spends about
+    # 200 ns a dispatch on them, 120-150 ns of it saved by block code (Python
+    # 3.11, 2-vCPU host).  The ski-rental rule, turning hot once the
+    # interpreter has spent G, never spends more than twice the best choice in
+    # hindsight: about 2,000 dispatches for the decider, 10,000-12,000 for
+    # take-k.  1,500 + 20 * n, n the program's length, stays at or below that,
+    # so realizers, whose extraction stages double their runs, pay back sooner
+    # (3,000 + 80 * n was 15% slower on extract-take in an in-process A/B).
+    # Deciders (1-3 dispatches a run), table realizers (2,400-3,900 dispatches
+    # an extraction) and the Kleene tree's programs stay interpreted.
+    if entry.dispatches >= 1_500 + 20 * len(entry.tables[0]):
         entry.fn = _generate(entry.tables)
     return res
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from fanlab import machine
 from fanlab.cli import parse_assembly
-from fanlab.fan import load_constant_block
+from fanlab.fan import load_constant_block, take_prefix_program
 from fanlab.machine import (
     HALT, Answer, Blocked, Converged, Decjz, FnOracle, Inc, Instruction, Jmp, Oracle,
     OutOfFuel, Program, Query, QueryTrace, RunResult, encode_program, random_program,
@@ -27,7 +27,9 @@ from fanlab.machine import (
 
 from helpers import mod_decider_program
 
-PARITY_ASM = Path(__file__).resolve().parents[1] / "scripts" / "asm" / "parity.asm"
+ASM = Path(__file__).resolve().parents[1] / "scripts" / "asm"
+PARITY_ASM = ASM / "parity.asm"
+FIRST_ZERO_ASM = ASM / "first_zero.asm"
 
 
 def reference_run(program: Program, x: int, oracle: Oracle, fuel: int) -> RunResult:
@@ -320,3 +322,91 @@ def test_parity_runs_ten_million_rounds_in_one_dispatch():
     code = encode_program(parse_assembly(PARITY_ASM.read_text()))
     res = run(code, 10**7 + 1, fuel=2 * 10**7)
     assert (res.outcome, res.steps) == (Converged(1), 15_000_003)
+
+
+# Series cycles `h: DECJZ r0 x; INC a...; L1; L2` at small scope, in both
+# forms: t = r0, where L1 moves the counter itself out through u = r2 and L2
+# moves it back, and t = r1, which gains the head's INCs of r1 each round.
+# Before the head, INCs preset t (the first summand) and u; a preset u is not
+# the state the rounds assume, so the macro takes one plain step.  After the
+# cycle, transfer loops add r1, r3 and r4 to r0, so the output shows what
+# the rounds counted.
+
+SERIES_HEADS = {0: ((), (1,), (3,), (1, 3)), 1: ((), (1,), (1, 1), (3,), (1, 3))}
+SERIES_MOVED = ((), (3,), (3, 3), (3, 4, 4))  # L1's INCs besides u
+
+
+def series_program(t: int, head, l1_body, l2_body, pre=(), to=None) -> tuple[int, Program]:
+    """`pre` INCs, then h: DECJZ r0 x; INC head...; L1: DECJZ t L2; INC
+    l1_body...; JMP L1; L2: DECJZ r2 to; INC l2_body...; JMP L2; and at x the
+    transfer loops.  `to` defaults to h.  Returns h and the program."""
+    h = len(pre)
+    l1 = h + 1 + len(head)
+    l2 = l1 + len(l1_body) + 2
+    x = l2 + len(l2_body) + 2
+    return h, (*(Inc(a) for a in pre),
+               Decjz(0, x), *(Inc(a) for a in head),
+               Decjz(t, l2), *(Inc(a) for a in l1_body), Jmp(l1),
+               Decjz(2, h if to is None else to), *(Inc(a) for a in l2_body), Jmp(l2),
+               Decjz(1, x + 3), Inc(0), Jmp(x),
+               Decjz(3, x + 6), Inc(0), Jmp(x + 3),
+               Decjz(4, x + 9), Inc(0), Jmp(x + 6))
+
+
+def series_cycles():
+    for t, heads in SERIES_HEADS.items():
+        for head, moved in product(heads, SERIES_MOVED):
+            for w0 in (range(4) if t else (0,)):
+                for u0 in (0, 1):
+                    yield series_program(t, head, (2, *moved), (t,), (t,) * w0 + (2,) * u0)
+
+
+def test_series_cycles_match_reference_at_every_fuel():
+    """Both engines against the reference, on inputs 0..5 and at every fuel
+    up to one past the settle point.  Every run settles and asks nothing,
+    so below the settle point the reference result is OutOfFuel at exactly
+    that fuel."""
+    programs = 0
+    for h, program in series_cycles():
+        tables = machine._compile(program)
+        assert tables[0][h] == machine._OP_SERIES, program
+        block_run = machine._generate(tables)
+        for x in range(6):
+            settled = reference_run(program, x, ORACLE, 10**4)
+            assert isinstance(settled.outcome, Converged)
+            for fuel in range(settled.steps + 2):
+                expected = (settled if fuel >= settled.steps else
+                            RunResult(OutOfFuel(), fuel, QueryTrace()))
+                assert machine._execute(tables, x, ORACLE, fuel) == expected, (program, x, fuel)
+                assert block_run(x, ORACLE, fuel) == expected, (program, x, fuel, "block")
+        programs += 1
+    assert programs == 2 * 4 * 4 + 4 * 5 * 4 * 2
+
+
+def test_series_heads_compile_to_one_series():
+    first_zero = parse_assembly(FIRST_ZERO_ASM.read_text())
+    programs = [*(machine.pairing_prelude(a) for a in range(9)),
+                *(take_prefix_program(k) for k in range(1, 9)), first_zero]
+    for program in programs:
+        assert machine._compile(program)[0].count(machine._OP_SERIES) == 1, program
+
+
+def test_near_miss_series_stay_decjz_and_loops():
+    """L2 adding to another register, u or r among the head INCs, L2 exiting
+    elsewhere than h, or u counted twice in L1: no SERIES, the head stays a
+    plain DECJZ, L1 and L2 stay LOOPs, and the results are the reference's."""
+    h, program = series_program(1, (1,), (2, 3), (1,), (1,))
+    assert machine._compile(program)[0][h] == machine._OP_SERIES  # each miss changes one thing
+    near_misses = [
+        series_program(1, (1,), (2, 3), (1, 3), (1,)),
+        series_program(1, (2,), (2, 3), (1,), (1,)),
+        series_program(1, (0,), (2, 3), (1,), (1,)),
+        series_program(1, (1,), (2, 3), (1,), (1,), to=0),
+        series_program(1, (1,), (2, 2, 3), (1,), (1,)),
+    ]
+    for h, program in near_misses:
+        ops = machine._compile(program)[0]
+        assert machine._OP_SERIES not in ops, program
+        assert ops[h] == machine._OP_DECJZ and ops.count(machine._OP_LOOP) == 5, program
+        for x in range(4):
+            assert_same_at_every_fuel(program, x)

@@ -38,7 +38,7 @@ from fanlab.machine import (
     unpair,
 )
 
-from helpers import query_loop_program, table_oracle
+from helpers import mod_decider_program, query_loop_program, table_oracle
 
 naturals = st.integers(min_value=0)
 
@@ -310,17 +310,24 @@ def test_curry_total_on_small_codes():
 
 
 def test_curry_overhead_formula_is_exact():
-    # The last two are take-8 sized: the prelude loops then run for hundreds
-    # of thousands to millions of steps.
-    for a, b in [(0, 0), (1, 0), (0, 1), (2, 3), (5, 2), (7, 7), (8, 255), (0, 1000)]:
+    # (8, 255) and (0, 1000) are take-8 sized: the prelude loops then run for
+    # hundreds of thousands to millions of steps.  At b = 10**9 they run for
+    # some 5 * 10**18, which only the series macro makes feasible: the prelude
+    # runs it cold and as block code.
+    cases = [(0, 0), (1, 0), (0, 1), (2, 3), (5, 2), (7, 7), (8, 255), (0, 1000),
+             (0, 10**9), (3, 10**9), (8, 10**9)]
+    for a, b in cases:
         fuel = curry_overhead(a, b) + 10
         direct = run(76, pair(a, b), BLOCK_ALL, fuel)
-        curried = run(curry(76, a), b, BLOCK_ALL, fuel)
-        assert (curried.outcome, curried.trace) == (direct.outcome, direct.trace)
-        assert curried.steps - direct.steps == curry_overhead(a, b)
-        short = run(curry(76, a), b, BLOCK_ALL, curried.steps - 1)
-        assert isinstance(short.outcome, OutOfFuel)
-        assert short.steps == curried.steps - 1
+        code = curry(76, a)
+        block_run = machine._generate(machine._compile(decode_program(code)))
+        for engine in (functools.partial(run, code), block_run):
+            curried = engine(b, BLOCK_ALL, fuel)
+            assert (curried.outcome, curried.trace) == (direct.outcome, direct.trace)
+            assert curried.steps - direct.steps == curry_overhead(a, b)
+            short = engine(b, BLOCK_ALL, curried.steps - 1)
+            assert isinstance(short.outcome, OutOfFuel)
+            assert short.steps == curried.steps - 1
 
 
 def test_curry_extensional_law_random():
@@ -397,8 +404,10 @@ def test_block_code_lives_in_the_run_cache_entry(generated):
     assert generated == [tables]
     machine._compiled_from_code.cache_clear()
     entry = machine._compiled_from_code(code)
-    assert entry.fn is None and entry.steps == 0
-    assert run(code, 100, THIRDS).steps == entry.steps
+    assert entry.fn is None and entry.dispatches == 0
+    # Hotness counts dispatches: one per step, but one for the closing LOOP
+    # that moves the 66 Yes answers into r0 in 66 * 3 + 1 steps.
+    assert run(code, 100, THIRDS).steps == entry.dispatches + 66 * 3
     assert entry.fn is None  # interpreted again
     run_until_hot(code, 100)
     assert generated == [tables, tables]  # generated anew, not found in a cache
@@ -424,7 +433,9 @@ def test_a_code_is_decoded_once_from_cold_to_hot(generated, monkeypatch):
 def test_result_is_the_same_before_and_after_turning_hot(generated):
     code = encode_program(QUERY_LOOP)
     fuels = [0, 1, 5, 6, 7, 100, 304, 305, 419, 420, DEFAULT_FUEL]
-    before = [run(code, 57, THIRDS, fuel) for fuel in fuels]
+    tables = machine._compile(QUERY_LOOP)
+    before = [machine._execute(tables, 57, THIRDS, fuel) for fuel in fuels]
+    assert [run(code, 57, THIRDS, fuel) for fuel in fuels[:6]] == before[:6]
     assert machine._compiled_from_code(code).fn is None
     run_until_hot(code, 57)
     assert [run(code, 57, THIRDS, fuel) for fuel in fuels] == before
@@ -539,3 +550,36 @@ def test_cold_programs_stay_interpreted(generated, capsys):
     assert cli.main(["kleene", "--depth", "105"]) == 0
     assert "level 105" in capsys.readouterr().out
     assert generated == []
+
+
+def test_table_realizer_stays_cold_through_an_extraction(generated):
+    """A depth-5 table realizer dispatches a few thousand times in a whole
+    extraction, far below the 1,500 + 20 per instruction of turning hot."""
+    from fanlab import fan
+
+    rng = random.Random(2)
+    program: tuple = ()
+    while len(program) < 700:
+        program = fan.compile_bar_table(fan.random_bar_table(rng, depth=5, stop_prob=0.2))
+    code = encode_program(program)
+    assert fan.extract_bound(fan.BarRealizer(code)).n == 5
+    entry = machine._compiled_from_code(code)
+    assert entry.fn is None and generated == []
+    assert 2_000 < entry.dispatches < 4_000
+
+
+def test_mod_decider_stays_cold_over_a_thousand_runs(generated):
+    """Its countdown cycle is one LOOP dispatch, so a run takes 1-3
+    dispatches however many steps it is charged."""
+    code = encode_program(mod_decider_program(4, 1))
+    for i in range(1_000):
+        assert run(code, i % 101).outcome == Converged(int(i % 101 % 4 == 1))
+    assert generated == []
+
+
+def test_query_loop_turns_hot_in_its_first_long_run(generated):
+    code = encode_program(QUERY_LOOP)
+    res = run(code, 1_000, THIRDS)
+    assert len(res.trace.queries) == 1_000
+    assert machine._compiled_from_code(code).fn is not None
+    assert generated == [machine._compile(QUERY_LOOP)]
