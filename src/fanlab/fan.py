@@ -5,8 +5,8 @@ the code of a prefix of that path lying in some bar B.  Paths are served on
 one reserved query slice, PATH_SLICE = 8: a query pair(PATH_SLICE, j) reads
 path bit j and is never blocked, while every other query is routed to the
 surrounding node oracle, whose node must stop short of that slice.  The
-path oracle records the least initial segment that was actually read (its
-`use`); the extraction leans on the returned prefix, not on that modulus.
+least initial segment a run actually read (its `use`) is read off the run's
+query trace; the extraction leans on the returned prefix, not on that modulus.
 
 `extract_bound` reconstructs a uniform depth bound stage by stage.  At stage
 n, each sequence of the uncovered frontier (length n, extending no committed
@@ -21,7 +21,7 @@ claims the returned bound is least.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable
 
@@ -90,34 +90,21 @@ class ExtractionExhausted(Exception):
 # Paths and routing
 
 class PathOracle:
-    """A total 0/1 stream with exact use tracking.
+    """A total 0/1 stream: its head, then zeros forever."""
 
-    ``read`` answers a position and counts it toward ``use`` (one past the
-    largest position read); ``peek`` answers without counting, for checks
-    that must not disturb the measured modulus.
-    """
+    __slots__ = ("head",)
 
-    def __init__(self, bit_at: Callable[[int], int]):
-        self._bit_at = bit_at
-        self._max_read = -1
+    def __init__(self, head: Bits):
+        self.head = tuple(head)
 
     def read(self, j: int) -> int:
-        if j > self._max_read:
-            self._max_read = j
-        return 1 if self._bit_at(j) else 0
-
-    def peek(self, j: int) -> int:
-        return 1 if self._bit_at(j) else 0
-
-    @property
-    def use(self) -> int:
-        return self._max_read + 1
+        head = self.head
+        return head[j] if j < len(head) else 0
 
     @classmethod
     def zero_extended(cls, head: Bits) -> "PathOracle":
         """The canonical test path: the given head, then zeros forever."""
-        head = tuple(head)
-        return cls(lambda j: head[j] if j < len(head) else 0)
+        return cls(head)
 
 
 @dataclass
@@ -150,7 +137,9 @@ def apply_realizer_to_path(realizer: BarRealizer, path: PathOracle) -> tuple[Bit
     """Run the realizer against a path; return (prefix, use).
 
     The realizer is applied to input 0; its output must be the canonical
-    code of a prefix of the path it saw, else InvalidRealizer.
+    code of a prefix of the path it saw, else InvalidRealizer.  `use` is one
+    past the largest position j of a path query pair(PATH_SLICE, j) in the
+    run's trace, or 0 when it read no path bit.
     """
     res = run(realizer.code, 0, RoutedOracle(realizer.base_oracle, path), realizer.fuel)
     match res.outcome:
@@ -158,12 +147,18 @@ def apply_realizer_to_path(realizer: BarRealizer, path: PathOracle) -> tuple[Bit
             if not is_canonical_bits_code(value):
                 raise InvalidRealizer(f"output {value} is not a sequence code")
             bits = code_to_bits(value)
-            for j, b in enumerate(bits):
-                if b != path.peek(j):
-                    raise InvalidRealizer(
-                        f"output {bits} differs from the path at position {j}"
-                    )
-            return bits, path.use
+            head = path.head
+            shown = head[:len(bits)] + (0,) * (len(bits) - len(head))
+            if bits != shown:
+                j = next(j for j, b in enumerate(bits) if b != shown[j])
+                raise InvalidRealizer(f"output {bits} differs from the path at position {j}")
+            # pair(PATH_SLICE, j) grows with j: when the largest query reads
+            # the path, it reads the largest position read.
+            queries = res.trace.queries
+            k, j = unpair(max(queries, default=0))
+            if k != PATH_SLICE:
+                j = max((j for k, j in map(unpair, queries) if k == PATH_SLICE), default=-1)
+            return bits, j + 1
         case Blocked(query):
             raise RealizerBlocked(query)
         case OutOfFuel():
@@ -200,16 +195,12 @@ class CoverSet:
                      if child not in self._members]
         return tuple(level)
 
-    @property
-    def committed(self) -> tuple[Bits, ...]:
-        return tuple(self._members)
-
 
 @dataclass(frozen=True)
 class UniformBound:
     n: int
     certificate: dict[Bits, Bits]  # length-n sequence -> shortest committed element it extends
-    realizer_outputs: frozenset[Bits] = field(default_factory=frozenset)
+    realizer_outputs: frozenset[Bits] = frozenset()
 
 
 def extract_bound(realizer: BarRealizer, *, n_max: int = 16) -> UniformBound:

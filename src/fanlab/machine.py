@@ -190,16 +190,22 @@ _TAG_INC, _TAG_DECJZ, _TAG_JMP, _TAG_QUERY, _TAG_HALT = range(5)
 def encode_instruction(ins: Instruction) -> int:
     kind = type(ins)  # exact-type tests: a structural match costs about 4x more
     if kind is Inc:
-        return pair(_TAG_INC, ins.reg)
-    if kind is Decjz:
-        return pair(_TAG_DECJZ, pair(ins.reg, ins.target))
-    if kind is Jmp:
-        return pair(_TAG_JMP, ins.target)
-    if kind is Query:
-        return pair(_TAG_QUERY, pair(ins.src, ins.dst))
-    if kind is Halt:
+        if ins.reg >= 0:
+            return pair(_TAG_INC, ins.reg)
+    elif kind is Decjz:
+        if ins.reg >= 0 and ins.target >= 0:
+            return pair(_TAG_DECJZ, pair(ins.reg, ins.target))
+    elif kind is Jmp:
+        if ins.target >= 0:
+            return pair(_TAG_JMP, ins.target)
+    elif kind is Query:
+        if ins.src >= 0 and ins.dst >= 0:
+            return pair(_TAG_QUERY, pair(ins.src, ins.dst))
+    elif kind is Halt:
         return pair(_TAG_HALT, 0)
-    raise TypeError(f"not an instruction: {ins!r}")
+    else:
+        raise TypeError(f"not an instruction: {ins!r}")
+    raise ValueError(f"registers and targets must be natural numbers: {ins!r}")
 
 
 def decode_instruction(code: int) -> Instruction:
@@ -265,6 +271,8 @@ def encode_program(program: Iterable[Instruction]) -> int:
 
 
 def decode_program(code: int) -> Program:
+    if code < 0:
+        raise ValueError(f"not a program code: {code}")
     n, body = unpair(code)
     if n == 0:
         return ()
@@ -326,20 +334,20 @@ class RunResult:
     trace: QueryTrace
 
 
-_OP_INC, _OP_DECJZ, _OP_JMP, _OP_QUERY, _OP_HALT = range(5)
+_OP_INC, _OP_DECJZ, _OP_JMP, _OP_QUERY = range(4)  # HALT compiles to a JMP past the end
 # Macro-ops, attached at loop heads.  Each one does the work of many
 # instructions in one dispatch and charges exactly their steps.
 # LOOP is a countdown cycle h: DECJZ r x0; ...; DECJZ r x(m-1); INC a...; JMP h.
 # arg1 is r, arg2 is (exits, per_round, counts): exits (x0, ..., x(m-1)),
 # per_round m + k + 1 for k INCs, counts (a, occurrences) pairs.
-_OP_LOOP = 5
-_OP_SPIN = 6   # JMP h at h: never leaves
-_OP_WAIT = 7   # DECJZ r h at h: never leaves once r is zero
+_OP_LOOP = 4
+_OP_SPIN = 5   # JMP h at h: never leaves
+_OP_WAIT = 6   # DECJZ r h at h: never leaves once r is zero
 # SERIES is a series cycle h: DECJZ r x; INC a...; L1; L2 (module docstring).
 # arg1 is r, arg2 is (x, t, u, d, k + 3, p1 + p2, head, moved): d is -1 when t
 # is r, head and moved the (reg, count) pairs of the head INCs and of L1's
 # INCs other than u.
-_OP_SERIES = 8
+_OP_SERIES = 7
 
 
 def _compile(program: Program) -> tuple[tuple[int, ...], tuple, tuple, int]:
@@ -365,7 +373,7 @@ def _compile(program: Program) -> tuple[tuple[int, ...], tuple, tuple, int]:
             ops.append(_OP_QUERY); arg1.append(dense(ins.src, len(index)))
             arg2.append(dense(ins.dst, len(index)))
         elif kind is Halt:
-            ops.append(_OP_HALT); arg1.append(0); arg2.append(0)
+            ops.append(_OP_JMP); arg1.append(0); arg2.append(len(program))
         else:
             raise TypeError(f"not an instruction: {ins!r}")
     _attach_macros(ops, arg1, arg2)
@@ -521,9 +529,6 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None,
                 break
             regs[r] -= 1
             pc += 1
-        else:
-            outcome = Converged(regs[0])
-            break
     if entry is not None:
         entry.dispatches += steps - bulk
     return _result(outcome, fuel if outcome is _OUT_OF_FUEL else steps, queries, answers)
@@ -539,15 +544,15 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
     if-tree on pc, only to the heads: pc 0 and every jump target inside the
     program.  A LOOP, SPIN or WAIT sits at its own jump target, so each is a
     head.  From a head, code runs on through every fall-through (past a DECJZ
-    that does not jump, a QUERY, a run of INCs) to the next jump, halt or
-    head, so each head starts one superblock.  A superblock checks fuel once,
-    against its longest path, and charges its steps when it leaves; a QUERY
-    that blocks charges the steps up to itself.  When the longest path would
-    pass the budget, the function hands its state to `_execute` at the head,
-    which then runs at most that many steps.  A LOOP macro is a superblock of
-    its own that charges all its rounds at once and leaves by one of its exits;
-    so is a SERIES macro, which hands a state its rounds do not assume
-    (u not 0) to `_execute` at its head.
+    that does not jump, a QUERY, a run of INCs) to the next jump (a HALT is
+    one, past the end) or head, so each head starts one superblock.  A
+    superblock checks fuel once, against its longest path, and charges its
+    steps when it leaves; a QUERY that blocks charges the steps up to itself.
+    When the longest path would pass the budget, the function hands its state
+    to `_execute` at the head, which then runs at most that many steps.  A
+    LOOP macro is a superblock of its own that charges all its rounds at once
+    and leaves by one of its exits; so is a SERIES macro, which hands a state
+    its rounds do not assume (u not 0) to `_execute` at its head.
     """
     ops, arg1, arg2, nregs = tables
     n = len(ops)
@@ -557,7 +562,7 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
             targets.update(arg2[pc][0])
         elif op == _OP_SERIES:
             targets.add(arg2[pc][0])
-        elif op not in (_OP_INC, _OP_QUERY, _OP_HALT):
+        elif op not in (_OP_INC, _OP_QUERY):
             targets.add(arg2[pc])
     heads = sorted(t for t in targets if t < n)
     head_set = set(heads)
@@ -663,9 +668,6 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
                 break
             elif op == _OP_SPIN:
                 out.append(f"{pad}return _result(_OUT_OF_FUEL, fuel, queries, answers)")
-                break
-            else:
-                out.append(f"{pad}return _result(Converged(r0), steps + {cost}, queries, answers)")
                 break
             pc += 1
         return [f"{pad}if steps + {cost} > fuel:", f"{pad}    break", *out]
@@ -814,6 +816,8 @@ def curry(code: int, a: int) -> int:
     extensional: same converged value, same blocking query, or both out of
     fuel, at any sufficiently large common budget.
     """
+    if a < 0:
+        raise ValueError(f"curry needs a natural number argument, not {a}")
     prelude = pairing_prelude(a)
     body = relocate(decode_program(code), len(prelude))
     return encode_program(tuple(prelude) + body)

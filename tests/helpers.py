@@ -14,14 +14,15 @@ from fanlab.fan import (
     ExtractionExhausted,
     PathOracle,
     RealizerOutOfFuel,
+    RoutedOracle,
     UniformBound,
     apply_realizer_to_path,
     load_constant_block,
 )
 from fanlab.machine import (
-    Answer, Decjz, FnOracle, Halt, Inc, Instruction, Jmp, Program, Query, pair,
+    Answer, Converged, Decjz, FnOracle, Halt, Inc, Instruction, Jmp, Program, Query, pair, run,
 )
-from fanlab.trees import Bits, bits_to_code
+from fanlab.trees import Bits, bits_to_code, code_to_bits
 
 
 def table_oracle(answers: dict[int, Answer], default: Answer = Answer.BLOCKED) -> FnOracle:
@@ -154,6 +155,35 @@ def reference_extract_bound(realizer, *, n_max: int = 16) -> UniformBound:
             }
             return UniformBound(n, certificate, frozenset(outputs))
     raise ExtractionExhausted(n_max, plain_uncovered(members, n_max), "stage limit")
+
+
+class ReferencePathOracle:
+    """The path "head, then zeros" with a high-water mark: `read` counts a
+    position toward `use` (one past the largest position read), `peek`
+    answers without counting."""
+
+    def __init__(self, head: Bits):
+        self.head = tuple(head)
+        self.use = 0
+
+    def peek(self, j: int) -> int:
+        return self.head[j] if j < len(self.head) else 0
+
+    def read(self, j: int) -> int:
+        self.use = max(self.use, j + 1)
+        return self.peek(j)
+
+
+def reference_apply_realizer_to_path(realizer, head: Bits) -> tuple[Bits, int]:
+    """A plain reference for `fan.apply_realizer_to_path` on a realizer that
+    converges to a valid prefix: `use` is the path's own high-water mark, and
+    the output is checked bit by bit with `peek`."""
+    path = ReferencePathOracle(head)
+    res = run(realizer.code, 0, RoutedOracle(realizer.base_oracle, path), realizer.fuel)
+    assert isinstance(res.outcome, Converged), res.outcome
+    bits = code_to_bits(res.outcome.value)
+    assert all(b == path.peek(j) for j, b in enumerate(bits)), (bits, head)
+    return bits, path.use
 
 
 def extraction_result(extract, realizer, **kwargs) -> tuple:

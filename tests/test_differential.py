@@ -155,7 +155,7 @@ def assert_same_at_every_fuel(program: Program, x: int) -> RunResult:
 
 def macro_ops(program: Program) -> set[int]:
     ops = machine._compile(program)[0]
-    return {op for op in ops if op > machine._OP_HALT}
+    return {op for op in ops if op >= machine._OP_LOOP}
 
 
 def test_random_programs_match_reference():

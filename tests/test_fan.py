@@ -52,6 +52,7 @@ from helpers import (
     extraction_result,
     lookahead_realizer_program,
     plain_uncovered,
+    reference_apply_realizer_to_path,
     reference_extract_bound,
     table_oracle,
 )
@@ -59,6 +60,7 @@ from helpers import (
 ASM_DIR = Path(__file__).resolve().parents[1] / "scripts" / "asm"
 EMPTY_REALIZER = encode_program(())
 TAKE3 = encode_program(take_prefix_program(3))
+TAKE5 = encode_program(take_prefix_program(5))
 SPLIT = encode_program(first_bit_split_program())
 
 
@@ -67,24 +69,27 @@ SPLIT = encode_program(first_bit_split_program())
 
 def test_path_oracle_reads_and_use():
     path = PathOracle.zero_extended((1, 0, 1))
-    assert path.use == 0
     assert [path.read(j) for j in range(5)] == [1, 0, 1, 0, 0]
-    assert path.use == 5
+    assert path.head == (1, 0, 1)  # reading leaves the path as it was
+    assert apply_realizer_to_path(BarRealizer(EMPTY_REALIZER), path) == ((), 0)
+    assert apply_realizer_to_path(BarRealizer(TAKE5), path) == ((1, 0, 1, 0, 0), 5)
 
 
-def test_path_peek_does_not_count():
+def test_output_check_reads_no_path_bit():
+    """A realizer that reads nothing and answers 11: the output is checked
+    against two positions of the path, and its use stays 0."""
+    ones = encode_program(load_constant_block(bits_to_code((1, 1)), 0))
     path = PathOracle.zero_extended((1, 1))
-    assert path.peek(7) == 0 and path.peek(0) == 1
-    assert path.use == 0
-    path.read(1)
-    assert path.use == 2
+    assert apply_realizer_to_path(BarRealizer(ones), path) == ((1, 1), 0)
 
 
 def test_use_is_one_past_largest_position():
-    path = PathOracle.zero_extended((0, 1, 0, 1))
-    path.read(3)
-    path.read(0)
-    assert path.use == 4
+    """Position 3 read before position 0: use is 4."""
+    q3, q0 = pair(PATH_SLICE, 3), pair(PATH_SLICE, 0)
+    program = (*[Inc(1)] * q3, Query(1, 2), *[Inc(3)] * q0, Query(3, 2))
+    bits, use = apply_realizer_to_path(BarRealizer(encode_program(program)),
+                                       PathOracle.zero_extended((0, 1, 0, 1)))
+    assert (bits, use) == ((), 4)
 
 
 def test_routed_oracle_splits_channels():
@@ -95,7 +100,6 @@ def test_routed_oracle_splits_channels():
     assert routed.answer(pair(PATH_SLICE, 1)) == Answer.NO
     assert routed.answer(5) == Answer.YES
     assert routed.answer(6) == Answer.BLOCKED
-    assert path.use == 2  # only the path-slice queries touched the path
 
 
 def test_bar_realizer_rejects_a_node_that_reaches_the_path_slice():
@@ -137,6 +141,16 @@ def test_non_prefix_output_is_invalid():
         apply_realizer_to_path(BarRealizer(ones), PathOracle.zero_extended(()))
 
 
+@pytest.mark.parametrize("head, out, j", [((), (0, 0, 1), 2), ((1, 0), (1, 1), 1),
+                                          ((0, 1, 1), (1,), 0), ((1,), (1, 0, 0, 1), 3)])
+def test_invalid_output_names_the_first_differing_position(head, out, j):
+    """The head, then zeros: positions past the head compare with 0."""
+    code = encode_program(load_constant_block(bits_to_code(out), 0))
+    with pytest.raises(InvalidRealizer) as info:
+        apply_realizer_to_path(BarRealizer(code), PathOracle.zero_extended(head))
+    assert str(info.value) == f"output {out} differs from the path at position {j}"
+
+
 def test_non_sequence_output_is_invalid():
     bad_code = pair(1, 5)  # length 1, value 5: not canonical
     bad = encode_program(tuple(Inc(0) for _ in range(bad_code)))
@@ -166,6 +180,49 @@ def test_split_realizer_on_both_heads():
     assert bits == (1, 1)
 
 
+def assert_use_matches_reference(realizer, heads):
+    for head in heads:
+        got = apply_realizer_to_path(realizer, PathOracle.zero_extended(head))
+        assert got == reference_apply_realizer_to_path(realizer, head), head
+
+
+def heads_up_to(length: int):
+    return (head for n in range(length + 1) for head in product((0, 1), repeat=n))
+
+
+def test_use_matches_the_reference_on_take_prefix_realizers():
+    """The largest query reads the path: use is its position + 1."""
+    for k in range(1, 9):
+        realizer = BarRealizer(encode_program(take_prefix_program(k)))
+        assert_use_matches_reference(realizer, heads_up_to(9))
+        assert apply_realizer_to_path(realizer, PathOracle.zero_extended((1,) * 9))[1] == k
+
+
+def test_use_matches_the_reference_on_first_zero():
+    assert_use_matches_reference(asm_realizer("first_zero.asm"), heads_up_to(9))
+
+
+def test_use_matches_the_reference_on_every_small_table():
+    for table in covering_tables(3):
+        realizer = BarRealizer(encode_program(compile_bar_table(table)))
+        assert_use_matches_reference(realizer, heads_up_to(4))
+
+
+def test_use_matches_the_reference_without_queries():
+    assert_use_matches_reference(BarRealizer(EMPTY_REALIZER), heads_up_to(3))
+
+
+def test_use_counts_only_path_queries():
+    """Path bit 0 is read (query pair(8, 0) = 36), then the base oracle is
+    asked pair(0, 9) = 54: the largest query is not a path query, and use
+    is 1."""
+    assert (pair(PATH_SLICE, 0), pair(0, 9)) == (36, 54)
+    program = (*[Inc(1)] * 36, Query(1, 2), *[Inc(1)] * 18, Query(1, 2))
+    realizer = BarRealizer(encode_program(program), table_oracle({54: Answer.YES}))
+    assert_use_matches_reference(realizer, [(0,), (1,)])
+    assert apply_realizer_to_path(realizer, PathOracle.zero_extended((1,))) == ((), 1)
+
+
 # ---------------------------------------------------------------------------
 # Cover sets
 
@@ -183,8 +240,10 @@ def test_cover_set_shortest_prefix_and_dedupe():
     cover.commit((0, 1, 1))
     cover.commit((0,))
     cover.commit((0, 1, 1))
-    assert cover.committed == ((0, 1, 1), (0,))
     assert cover.covering_prefix((0, 1, 1)) == (0,)
+    assert cover.covering_prefix((1, 1, 1)) is None
+    assert cover.uncovered(1) == ((1,),)
+    assert cover.uncovered(3) == ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))
 
 
 def test_cover_set_uncovered_census():

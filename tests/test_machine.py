@@ -3,6 +3,7 @@
 import functools
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -115,6 +116,33 @@ def test_encode_instruction_rejects_non_instructions(junk):
         encode_instruction(junk)
 
 
+@pytest.mark.parametrize("ins", [Decjz(-1, 0), Decjz(0, -1), Query(-1, 0), Query(0, -1),
+                                 Inc(-1), Jmp(-2)])
+def test_encode_instruction_rejects_negative_fields(ins):
+    """Unrefused, Decjz(-1, 0) and Query(-1, 0) took the codes of their
+    register-0 forms, and Inc(-1) and Jmp(-2) codes that nothing decodes."""
+    with pytest.raises(ValueError, match=re.escape(repr(ins))):
+        encode_instruction(ins)
+    with pytest.raises(ValueError, match=re.escape(repr(ins))):
+        encode_program((ins,))
+
+
+@pytest.mark.parametrize("code", [-1, -3])
+def test_decode_program_rejects_a_negative_code(code):
+    with pytest.raises(ValueError, match=f"not a program code: {code}$"):
+        decode_program(code)
+
+
+def test_run_rejects_a_negative_code():
+    with pytest.raises(ValueError, match="not a program code: -1$"):
+        run(-1, 0)
+
+
+def test_curry_rejects_a_negative_argument():
+    with pytest.raises(ValueError, match="-1"):
+        curry(76, -1)
+
+
 def test_encode_after_decode_is_identity_on_canonical_codes():
     rng = random.Random(7)
     for _ in range(1000):
@@ -157,6 +185,10 @@ def test_query_writes_answer_bit():
 
 def test_jump_past_end_halts():
     assert evaluate(encode_program((Jmp(99),)), 6, BLOCK_ALL, 10) == Converged(6)
+
+
+def test_halt_compiles_to_a_jump_past_the_end():
+    assert machine._compile((Inc(0), Halt())) == machine._compile((Inc(0), Jmp(2)))
 
 
 def test_fuel_edges():
