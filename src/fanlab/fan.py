@@ -21,7 +21,6 @@ claims the returned bound is least.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable
 
@@ -46,6 +45,7 @@ from .machine import (
     run,
     unpair,
 )
+from .machine import _set, _Value
 from .trees import Bits, bits_to_code, code_to_bits, format_bits, is_canonical_bits_code
 
 PATH_SLICE = 8  # reserved slice for path bits; BarRealizer rejects nodes that reach it
@@ -107,12 +107,14 @@ class PathOracle:
         return cls(head)
 
 
-@dataclass
-class RoutedOracle:
+class RoutedOracle(_Value):
     """Splits queries: the reserved slice reads the path, the rest go through."""
 
-    base: Oracle
-    path: PathOracle
+    __slots__ = __match_args__ = ("base", "path")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    def __init__(self, base: Oracle, path: PathOracle):
+        self.base = base
+        self.path = path
 
     def answer(self, query: int) -> Answer:
         k, s = unpair(query)
@@ -121,16 +123,17 @@ class RoutedOracle:
         return self.base.answer(query)
 
 
-@dataclass(frozen=True)
-class BarRealizer:
-    code: int
-    base_oracle: Oracle = BLOCK_ALL
-    fuel: int = EXTRACTION_FUEL
-
-    def __post_init__(self):
-        node = getattr(self.base_oracle, "node", ())  # set on node oracles
+class BarRealizer(_Value):
+    __slots__ = __match_args__ = ("code", "base_oracle", "fuel")
+    def __init__(self, code: int, base_oracle: Oracle = BLOCK_ALL, fuel: int = EXTRACTION_FUEL):
+        node = getattr(base_oracle, "node", ())  # set on node oracles
         if len(node) > PATH_SLICE:
             raise ValueError(f"a node of length {len(node)} reaches path slice {PATH_SLICE}")
+        if fuel < 0:
+            raise ValueError(f"fuel must be a natural number, not {fuel}")
+        _set(self, "code", code)
+        _set(self, "base_oracle", base_oracle)
+        _set(self, "fuel", fuel)
 
 
 def apply_realizer_to_path(realizer: BarRealizer, path: PathOracle) -> tuple[Bits, int]:
@@ -196,11 +199,13 @@ class CoverSet:
         return tuple(level)
 
 
-@dataclass(frozen=True)
-class UniformBound:
-    n: int
-    certificate: dict[Bits, Bits]  # length-n sequence -> shortest committed element it extends
-    realizer_outputs: frozenset[Bits] = frozenset()
+class UniformBound(_Value):
+    __slots__ = __match_args__ = ("n", "certificate", "realizer_outputs")
+    def __init__(self, n: int, certificate: dict[Bits, Bits],
+                 realizer_outputs: frozenset[Bits] = frozenset()):
+        _set(self, "n", n)
+        _set(self, "certificate", certificate)  # length-n sequence -> shortest committed prefix
+        _set(self, "realizer_outputs", realizer_outputs)
 
 
 def extract_bound(realizer: BarRealizer, *, n_max: int = 16) -> UniformBound:

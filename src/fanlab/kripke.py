@@ -11,7 +11,6 @@ answers nothing and information only ever accumulates along a branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .machine import (
@@ -34,6 +33,7 @@ from .machine import (
     run_decider,
     unpair,
 )
+from .machine import _set, _Value
 
 Node = tuple[int, ...]
 
@@ -61,24 +61,28 @@ def all_nodes(max_len: int, max_entry: int) -> list[Node]:
     return [node for n in range(max_len + 1) for node in product(entries, repeat=n)]
 
 
-@dataclass(frozen=True)
-class GroundReal:
+class GroundReal(_Value):
     """A total 0/1 set of naturals backing one oracle slice.
 
     Presented either as a repeating bit pattern or as the code of a total
     no-oracle decider program (nonzero output means membership).
     """
 
-    pattern: tuple[int, ...] | None = None
-    decider: int | None = None
-    fuel: int = DEFAULT_FUEL
-
-    def __post_init__(self):
-        if (self.pattern is None) == (self.decider is None):
+    __slots__ = __match_args__ = ("pattern", "decider", "fuel")
+    def __init__(self, pattern: tuple[int, ...] | None = None, decider: int | None = None,
+                 fuel: int = DEFAULT_FUEL):
+        if (pattern is None) == (decider is None):
             raise ValueError("give exactly one of pattern or decider")
-        if self.pattern is not None:
-            if not self.pattern or any(b not in (0, 1) for b in self.pattern):
+        if pattern is not None:
+            if not pattern or any(b not in (0, 1) for b in pattern):
                 raise ValueError("pattern must be a nonempty 0/1 sequence")
+        elif decider < 0:
+            raise ValueError(f"decider must be a natural number, not {decider}")
+        if fuel < 0:
+            raise ValueError(f"fuel must be a natural number, not {fuel}")
+        _set(self, "pattern", pattern)
+        _set(self, "decider", decider)
+        _set(self, "fuel", fuel)
 
     def contains(self, s: int) -> bool:
         if self.pattern is not None:
@@ -112,21 +116,21 @@ class _Answers(dict):
         return out
 
 
-@dataclass(frozen=True)
-class LayeredOracle:
+class LayeredOracle(_Value):
     """The oracle at one node.  Its family and node are fixed and deciders run
     against BLOCK_ALL, so each query has one answer: it is computed once per
     instance and stored.  `answer` is the store's own lookup, so an answer
     asked before costs one C-level call.  `==`, `hash` and `repr` see only
     the family and the node."""
 
-    family: Family
-    node: Node
-
-    def __post_init__(self):
+    __slots__ = ("family", "node", "answer")
+    __match_args__ = ("family", "node")
+    def __init__(self, family: Family, node: Node):
+        _set(self, "family", family)
+        _set(self, "node", node)
         answers = _Answers()
-        answers.family, answers.node = self.family, self.node
-        object.__setattr__(self, "answer", answers.__getitem__)
+        answers.family, answers.node = family, node
+        _set(self, "answer", answers.__getitem__)
 
 
 def node_oracle(family, node) -> LayeredOracle:
@@ -143,18 +147,20 @@ def node_oracle(family, node) -> LayeredOracle:
 # ---------------------------------------------------------------------------
 # Slice-access reporting
 
-@dataclass(frozen=True)
-class SliceAccessRow:
-    input: int
-    outcome: EvalOutcome
-    slices: frozenset[int]  # slice index of every issued query, blocking one included
-    trace: QueryTrace
+class SliceAccessRow(_Value):
+    __slots__ = __match_args__ = ("input", "outcome", "slices", "trace")
+    def __init__(self, input: int, outcome: EvalOutcome, slices: frozenset[int], trace: QueryTrace):
+        _set(self, "input", input)
+        _set(self, "outcome", outcome)
+        _set(self, "slices", slices)  # slice index of every issued query, blocking one included
+        _set(self, "trace", trace)
 
 
-@dataclass(frozen=True)
-class SliceAccessReport:
-    node: Node
-    rows: tuple[SliceAccessRow, ...]
+class SliceAccessReport(_Value):
+    __slots__ = __match_args__ = ("node", "rows")
+    def __init__(self, node: Node, rows: tuple[SliceAccessRow, ...]):
+        _set(self, "node", node)
+        _set(self, "rows", rows)
 
     @property
     def settled_rows(self) -> tuple[SliceAccessRow, ...]:

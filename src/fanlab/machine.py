@@ -22,7 +22,8 @@ declines to answer a query (``Answer.BLOCKED``) the run aborts with a
 an unanswered question.  A run that halts ends in ``Converged(value)`` with
 register 0 as the value.  ``run`` returns ``RunResult(outcome, steps,
 trace)``, the trace being the answered queries in order and one answer bit
-each; ``trace.entries`` views them as ``(query, answer)`` pairs.
+each; ``trace.entries`` views them as ``(query, answer)`` pairs.  These and
+the instructions are immutable slotted values, compared and matched by field.
 
 The interpreter applies countdown cycles
 ``h: DECJZ r x0; ...; DECJZ r x(m-1); INC a...; JMP h`` (m >= 1 tests of the
@@ -91,11 +92,42 @@ may name labels, which assemble to instruction indices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
 from typing import Callable, Iterable, Protocol
+
+_set = object.__setattr__  # how a value's __init__ sets its fields
+
+
+class _Value:
+    """An immutable record over the slots named in `__match_args__`: `==` (same
+    type only), `hash`, `repr`, copies and pickles all go by those fields."""
+
+    __slots__ = __match_args__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +157,16 @@ class _BlockAll:
     def __repr__(self) -> str:
         return "BLOCK_ALL"
 
+    __reduce__ = __repr__  # a name: copies and pickles are the one instance
+
 
 BLOCK_ALL = _BlockAll()
 
 
-@dataclass(frozen=True)
-class FnOracle:
-    fn: Callable[[int], Answer]
+class FnOracle(_Value):
+    __slots__ = __match_args__ = ("fn",)
+    def __init__(self, fn: Callable[[int], Answer]):
+        _set(self, "fn", fn)
 
     def answer(self, query: int) -> Answer:
         return self.fn(query)
@@ -140,31 +175,34 @@ class FnOracle:
 # ---------------------------------------------------------------------------
 # Instructions and pairing
 
-@dataclass(frozen=True)
-class Inc:
-    reg: int
+class Inc(_Value):
+    __slots__ = __match_args__ = ("reg",)
+    def __init__(self, reg: int):
+        _set(self, "reg", reg)
 
 
-@dataclass(frozen=True)
-class Decjz:
-    reg: int
-    target: int
+class Decjz(_Value):
+    __slots__ = __match_args__ = ("reg", "target")
+    def __init__(self, reg: int, target: int):
+        _set(self, "reg", reg)
+        _set(self, "target", target)
 
 
-@dataclass(frozen=True)
-class Jmp:
-    target: int
+class Jmp(_Value):
+    __slots__ = __match_args__ = ("target",)
+    def __init__(self, target: int):
+        _set(self, "target", target)
 
 
-@dataclass(frozen=True)
-class Query:
-    src: int
-    dst: int
+class Query(_Value):
+    __slots__ = __match_args__ = ("src", "dst")
+    def __init__(self, src: int, dst: int):
+        _set(self, "src", src)
+        _set(self, "dst", dst)
 
 
-@dataclass(frozen=True)
-class Halt:
-    pass
+class Halt(_Value):
+    __slots__ = __match_args__ = ()
 
 
 Instruction = Inc | Decjz | Jmp | Query | Halt
@@ -209,6 +247,8 @@ def encode_instruction(ins: Instruction) -> int:
 
 
 def decode_instruction(code: int) -> Instruction:
+    if code < 0:
+        raise ValueError(f"not an instruction code: {code}")
     tag, payload = unpair(code)
     if tag == _TAG_INC:
         return Inc(payload)
@@ -285,13 +325,14 @@ def decode_program(code: int) -> Program:
 DEFAULT_FUEL = 100_000  # step budget wherever a caller names none
 
 
-@dataclass(frozen=True)
-class QueryTrace:
+class QueryTrace(_Value):
     """Answered queries in order, one answer bit each (1 = Yes); `entries`
     views them as `(query, answer)` pairs.  A blocking query is not answered."""
 
-    queries: tuple[int, ...] = ()
-    answers: bytes = b""
+    __slots__ = __match_args__ = ("queries", "answers")
+    def __init__(self, queries: tuple[int, ...] = (), answers: bytes = b""):
+        _set(self, "queries", queries)
+        _set(self, "answers", answers)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, Answer]]) -> QueryTrace:
@@ -307,31 +348,33 @@ class QueryTrace:
         return max(self.queries, default=None)
 
 
-@dataclass(frozen=True)
-class Converged:
-    value: int
+class Converged(_Value):
+    __slots__ = __match_args__ = ("value",)
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Blocked:
-    query: int
+class Blocked(_Value):
+    __slots__ = __match_args__ = ("query",)
+    def __init__(self, query: int):
+        _set(self, "query", query)
 
 
-@dataclass(frozen=True)
-class OutOfFuel:
-    pass
+class OutOfFuel(_Value):
+    __slots__ = __match_args__ = ()
 
 
 EvalOutcome = Converged | Blocked | OutOfFuel
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(_Value):
     """Outcome plus instrumentation: steps executed and the full trace."""
 
-    outcome: EvalOutcome
-    steps: int
-    trace: QueryTrace
+    __slots__ = __match_args__ = ("outcome", "steps", "trace")
+    def __init__(self, outcome: EvalOutcome, steps: int, trace: QueryTrace):
+        _set(self, "outcome", outcome)
+        _set(self, "steps", steps)
+        _set(self, "trace", trace)
 
 
 _OP_INC, _OP_DECJZ, _OP_JMP, _OP_QUERY = range(4)  # HALT compiles to a JMP past the end

@@ -16,7 +16,6 @@ from one run per e < n_max and one counting pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, product
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -33,6 +32,7 @@ from .machine import (
     run_decider,
     unpair,
 )
+from .machine import _set, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -77,15 +77,17 @@ def parse_bits(text: str) -> Bits:
 # ---------------------------------------------------------------------------
 # Trees
 
-@dataclass(frozen=True)
-class DecidableTree:
+class DecidableTree(_Value):
     """A membership test, plus the exact member counts of levels 0..n_max
     when the tree knows them in closed form; censuses then use those, and
     `levels` and `full_scan_count` stay the references built on `contains`
     alone."""
 
-    membership: Callable[[Bits], bool]
-    census: Callable[[int], tuple[int, ...]] | None = None
+    __slots__ = __match_args__ = ("membership", "census")
+    def __init__(self, membership: Callable[[Bits], bool],
+                 census: Callable[[int], tuple[int, ...]] | None = None):
+        _set(self, "membership", membership)
+        _set(self, "census", census)
 
     def contains(self, bits) -> bool:
         return bool(self.membership(tuple(bits)))

@@ -102,6 +102,14 @@ def test_routed_oracle_splits_channels():
     assert routed.answer(6) == Answer.BLOCKED
 
 
+def test_bar_realizer_refuses_negative_fuel():
+    """Unrefused, the first stage failed in `run` with a message naming
+    neither the field nor its value."""
+    with pytest.raises(ValueError, match="^fuel must be a natural number, not -2$"):
+        BarRealizer(SPLIT, fuel=-2)
+    assert BarRealizer(SPLIT, fuel=0).fuel == 0
+
+
 def test_bar_realizer_rejects_a_node_that_reaches_the_path_slice():
     family = (GroundReal(pattern=(1, 0)),) * (PATH_SLICE + 2)
     with pytest.raises(ValueError, match="reaches path slice 8"):

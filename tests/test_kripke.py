@@ -187,6 +187,17 @@ def test_ground_real_requires_exactly_one_presentation():
         GroundReal(pattern=(2,))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"decider": -1}, "decider must be a natural number, not -1"),
+    ({"decider": 76, "fuel": -3}, "fuel must be a natural number, not -3"),
+])
+def test_ground_real_refuses_a_negative_decider_or_fuel(kwargs, message):
+    """Unrefused, they failed only at the first query, inside `run`, with a
+    message that did not name the field."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GroundReal(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Oracles and persistence of computation
 

@@ -1,7 +1,9 @@
-"""Machine model: pairing, numbering, evaluation, currying."""
+"""Machine model: pairing, numbering, evaluation, currying, value types."""
 
+import copy
 import functools
 import gc
+import pickle
 import random
 import re
 
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fanlab import machine
+from fanlab.fan import BarRealizer, PathOracle, RoutedOracle, UniformBound
+from fanlab.kripke import GroundReal, SliceAccessReport, SliceAccessRow, node_oracle
 from fanlab.machine import (
     BLOCK_ALL,
     DEFAULT_FUEL,
@@ -25,6 +29,7 @@ from fanlab.machine import (
     Answer,
     Query,
     QueryTrace,
+    RunResult,
     curry,
     curry_overhead,
     decode_instruction,
@@ -38,6 +43,7 @@ from fanlab.machine import (
     run_decider,
     unpair,
 )
+from fanlab.trees import DecidableTree
 
 from helpers import mod_decider_program, query_loop_program, table_oracle
 
@@ -131,6 +137,13 @@ def test_encode_instruction_rejects_negative_fields(ins):
 def test_decode_program_rejects_a_negative_code(code):
     with pytest.raises(ValueError, match=f"not a program code: {code}$"):
         decode_program(code)
+
+
+@pytest.mark.parametrize("code", [-1, -3])
+def test_decode_instruction_rejects_a_negative_code(code):
+    """Unrefused, it failed inside `isqrt` with a message naming nothing."""
+    with pytest.raises(ValueError, match=f"not an instruction code: {code}$"):
+        decode_instruction(code)
 
 
 def test_run_rejects_a_negative_code():
@@ -615,3 +628,104 @@ def test_query_loop_turns_hot_in_its_first_long_run(generated):
     assert len(res.trace.queries) == 1_000
     assert machine._compiled_from_code(code).fn is not None
     assert generated == [machine._compile(QUERY_LOOP)]
+
+
+# ---------------------------------------------------------------------------
+# Value types: one instance of each, pinned to what the frozen dataclasses gave
+
+ONES = GroundReal(pattern=(1,))
+ROW = SliceAccessRow(0, Converged(1), frozenset({0}), QueryTrace((0,), b"\x01"))
+PATH = PathOracle((1, 0))  # identity equality: routed copies compare by its head
+VALUES = [
+    (lambda: FnOracle(BLOCK_ALL.answer), ("fn",),
+     "FnOracle(fn=<bound method _BlockAll.answer of BLOCK_ALL>)"),
+    (lambda: Inc(3), ("reg",), "Inc(reg=3)"),
+    (lambda: Decjz(1, 4), ("reg", "target"), "Decjz(reg=1, target=4)"),
+    (lambda: Jmp(2), ("target",), "Jmp(target=2)"),
+    (lambda: Query(0, 5), ("src", "dst"), "Query(src=0, dst=5)"),
+    (lambda: Halt(), (), "Halt()"),
+    (lambda: QueryTrace((4, 9), b"\x01\x00"), ("queries", "answers"),
+     r"QueryTrace(queries=(4, 9), answers=b'\x01\x00')"),
+    (lambda: Converged(3), ("value",), "Converged(value=3)"),
+    (lambda: Blocked(3), ("query",), "Blocked(query=3)"),
+    (lambda: OutOfFuel(), (), "OutOfFuel()"),
+    (lambda: RunResult(Converged(3), 5, QueryTrace()), ("outcome", "steps", "trace"),
+     "RunResult(outcome=Converged(value=3), steps=5, trace=QueryTrace(queries=(), answers=b''))"),
+    (lambda: GroundReal(pattern=(1, 0)), ("pattern", "decider", "fuel"),
+     "GroundReal(pattern=(1, 0), decider=None, fuel=100000)"),
+    (lambda: node_oracle((ONES,), (2,)), ("family", "node"),
+     "LayeredOracle(family=(GroundReal(pattern=(1,), decider=None, fuel=100000),), node=(2,))"),
+    (lambda: ROW, ("input", "outcome", "slices", "trace"),
+     r"SliceAccessRow(input=0, outcome=Converged(value=1), slices=frozenset({0}), "
+     r"trace=QueryTrace(queries=(0,), answers=b'\x01'))"),
+    (lambda: SliceAccessReport((1,), (ROW,)), ("node", "rows"),
+     f"SliceAccessReport(node=(1,), rows=({ROW!r},))"),
+    (lambda: RoutedOracle(BLOCK_ALL, PATH), ("base", "path"),
+     f"RoutedOracle(base=BLOCK_ALL, path={PATH!r})"),
+    (lambda: BarRealizer(7), ("code", "base_oracle", "fuel"),
+     "BarRealizer(code=7, base_oracle=BLOCK_ALL, fuel=1000000)"),
+    (lambda: UniformBound(0, {(): ()}, frozenset({()})),
+     ("n", "certificate", "realizer_outputs"),
+     "UniformBound(n=0, certificate={(): ()}, realizer_outputs=frozenset({()}))"),
+    (lambda: DecidableTree(all), ("membership", "census"),
+     "DecidableTree(membership=<built-in function all>, census=None)"),
+]
+UNHASHABLE = (RoutedOracle, UniformBound)  # mutable, or a dict among the fields
+
+
+def _kept(value):
+    """What a copy must keep: the value, or for a routed oracle its base and
+    its path's head, since a copied PathOracle is a new object."""
+    if type(value) is RoutedOracle:
+        return value.base, value.path.head
+    return value
+
+
+@pytest.mark.parametrize("make, fields, text", VALUES,
+                         ids=[text.partition("(")[0] for _, _, text in VALUES])
+def test_value_semantics_are_pinned(make, fields, text):
+    value, twin = make(), make()
+    assert repr(value) == text
+    assert type(value).__match_args__ == fields
+    assert value == twin and not value != twin
+    assert value != tuple(getattr(value, f) for f in fields)
+    assert type(value)(**{f: getattr(value, f) for f in fields}) == value
+    if type(value) in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin)
+    if type(value) is not RoutedOracle:  # the one mutable type
+        for name in fields or ("x",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == text
+    for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(again) is type(value) and _kept(again) == _kept(value)
+
+
+def test_equal_fields_of_different_types_are_unequal():
+    assert Converged(3) != Blocked(3) and Blocked(3) != Converged(3)
+    assert Inc(3) != Jmp(3) and Halt() != OutOfFuel()
+    assert len({Converged(3), Blocked(3), Inc(3), Jmp(3), Halt(), OutOfFuel()}) == 6
+
+
+@pytest.mark.parametrize("make", [make for make, _, _ in VALUES],
+                         ids=[text.partition("(")[0] for _, _, text in VALUES])
+def test_values_have_no_instance_dict(make):
+    assert not hasattr(make(), "__dict__")
+
+
+def test_block_all_copies_and_pickles_to_itself():
+    assert copy.copy(BLOCK_ALL) is BLOCK_ALL and copy.deepcopy(BLOCK_ALL) is BLOCK_ALL
+    assert pickle.loads(pickle.dumps(BLOCK_ALL)) is BLOCK_ALL
+
+
+def test_a_copied_node_oracle_answers_from_its_own_store():
+    oracle = node_oracle((ONES,), (2,))
+    assert oracle.answer(pair(0, 1)) is Answer.NO  # entry 2 flips element 1
+    for again in (copy.copy(oracle), copy.deepcopy(oracle), pickle.loads(pickle.dumps(oracle))):
+        assert [again.answer(pair(0, s)) for s in range(3)] == [Answer.YES, Answer.NO, Answer.YES]
+        assert again.answer(pair(1, 0)) is Answer.BLOCKED
