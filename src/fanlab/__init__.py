@@ -55,11 +55,9 @@ from .fan import (
     BarRealizer,
     CoverSet,
     ExtractionExhausted,
-    InvalidRealizer,
     PATH_SLICE,
     PathOracle,
-    RealizerBlocked,
-    RealizerOutOfFuel,
+    RealizerFailed,
     RoutedOracle,
     UniformBound,
     apply_realizer_to_path,

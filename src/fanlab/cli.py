@@ -395,12 +395,6 @@ def _cmd_extract_bound(args) -> int:
             line += f" sequence {format_bits(exc.sequence)} steps {exc.steps}"
         print(line)
         return 1
-    except fan.InvalidRealizer as exc:
-        print(f"invalid-realizer {exc}")
-        return 1
-    except fan.RealizerBlocked as exc:
-        print(f"realizer-blocked query {exc.query}")
-        return 1
     print(f"bound {bound.n}")
     for bits in sorted(bound.certificate):
         print(f"{format_bits(bits)} {format_bits(bound.certificate[bits])}")
@@ -420,7 +414,13 @@ def _random_node(rng: random.Random, family: Family) -> Node:
     return tuple(rng.randrange(4) for _ in range(rng.randrange(len(family))))
 
 
-def _suite_persistence(args, rng: random.Random) -> list[str]:
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+# Each suite returns (ok, lines): its verdict and the records it prints.
+
+def _suite_persistence(args, rng: random.Random) -> tuple[bool, list[str]]:
     family = default_family()
     failures = 0
     for _ in range(args.trials):
@@ -433,11 +433,11 @@ def _suite_persistence(args, rng: random.Random) -> list[str]:
             there = machine.evaluate(encode_program(program), x, node_oracle(family, child), args.fuel)
             if there != here:
                 failures += 1
-    status = "pass" if failures == 0 else "fail"
-    return [f"persistence {status} trials {args.trials} failures {failures}"]
+    ok = failures == 0
+    return ok, [f"persistence {_verdict(ok)} trials {args.trials} failures {failures}"]
 
 
-def _suite_slice_gate(args, rng: random.Random) -> list[str]:
+def _suite_slice_gate(args, rng: random.Random) -> tuple[bool, list[str]]:
     family = default_family()
     nodes = kripke.all_nodes(4, 3)
     bad = 0  # a probe that runs out of fuel shows nothing, so it fails too
@@ -446,29 +446,24 @@ def _suite_slice_gate(args, rng: random.Random) -> list[str]:
         for node in nodes:
             report = kripke.check_slice_access(probe, [0], family, node, args.fuel)
             bad += (not report.lemma_holds) + report.out_of_fuel
-    status = "pass" if bad == 0 else "fail"
-    return [f"slice-gate {status} nodes {len(nodes)} k-max 3 failures {bad}"]
+    ok = bad == 0
+    return ok, [f"slice-gate {_verdict(ok)} nodes {len(nodes)} k-max 3 failures {bad}"]
 
 
-def _suite_kleene(args, rng: random.Random) -> list[str]:
+def _suite_kleene(args, rng: random.Random) -> tuple[bool, list[str]]:
     tree = trees.kleene_tree(BLOCK_ALL)
     lines = []
     ok = True
     for n, frontier in trees.levels(tree, args.depth):
         lines.append(f"level {n} {len(frontier)}")
-        if not frontier:
-            ok = False
+        ok = ok and bool(frontier)
     violations = trees.check_prefix_closed(tree, min(args.depth, 10))
-    if violations:
-        ok = False
-    lines.append(
-        f"kleene {'pass' if ok else 'fail'} depth {args.depth} "
-        f"prefix-violations {len(violations)}"
-    )
-    return lines
+    ok = ok and not violations
+    lines.append(f"kleene {_verdict(ok)} depth {args.depth} prefix-violations {len(violations)}")
+    return ok, lines
 
 
-def _suite_extraction(args, rng: random.Random) -> list[str]:
+def _suite_extraction(args, rng: random.Random) -> tuple[bool, list[str]]:
     lines = []
     ok = True
     cases = [
@@ -482,10 +477,8 @@ def _suite_extraction(args, rng: random.Random) -> list[str]:
         sound = fan.verify_uniform_bound(fan.prefix_hit_bar(outputs), bound.n)
         good = bound.n == expected and sound
         ok = ok and good
-        lines.append(
-            f"extraction-case {name} {'pass' if good else 'fail'} "
-            f"bound {bound.n} expected {expected} sound {str(sound).lower()}"
-        )
+        lines.append(f"extraction-case {name} {_verdict(good)} "
+                     f"bound {bound.n} expected {expected} sound {str(sound).lower()}")
     random_ok = 0
     for _ in range(args.trials):
         table = fan.random_bar_table(rng, depth=4)
@@ -493,15 +486,12 @@ def _suite_extraction(args, rng: random.Random) -> list[str]:
         bound = fan.extract_bound(fan.BarRealizer(code))
         if fan.verify_uniform_bound(fan.table_bar(table), bound.n):
             random_ok += 1
-    ok = ok and random_ok == args.trials
-    lines.append(
-        f"extraction-random {'pass' if random_ok == args.trials else 'fail'} "
-        f"trials {args.trials} sound {random_ok}"
-    )
-    return lines
+    all_sound = random_ok == args.trials
+    lines.append(f"extraction-random {_verdict(all_sound)} trials {args.trials} sound {random_ok}")
+    return ok and all_sound, lines
 
 
-def _suite_census(args, rng: random.Random) -> list[str]:
+def _suite_census(args, rng: random.Random) -> tuple[bool, list[str]]:
     family = default_family()
     specs = ["full", "zeros", "at-most-k-ones 1", "kleene"]
     bad = 0
@@ -511,8 +501,8 @@ def _suite_census(args, rng: random.Random) -> list[str]:
         scan = tuple(trees.full_scan_count(tree, n) for n in range(args.depth + 1))
         if frontier != scan:
             bad += 1
-    status = "pass" if bad == 0 else "fail"
-    return [f"census {status} trees {len(specs)} depth {args.depth} failures {bad}"]
+    ok = bad == 0
+    return ok, [f"census {_verdict(ok)} trees {len(specs)} depth {args.depth} failures {bad}"]
 
 
 _SUITES = {
@@ -533,13 +523,10 @@ def _cmd_check(args) -> int:
     if not is_natural(seed):
         raise CliInputError(f"FANLAB_SEED must be a natural number, got {seed!r}")
     rng = random.Random(int(seed))
-    lines = suite_fn(args, rng)
-    failed = False
+    ok, lines = suite_fn(args, rng)
     for line in lines:
         print(line)
-        if " fail " in f" {line} ":
-            failed = True
-    return 1 if failed else 0
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,11 @@ results do not depend on the order sequences are processed.  The first stage
 whose sequences are all covered is the bound, and the certificate maps each
 length-n sequence to the shortest committed element it extends.  Nothing here
 claims the returned bound is least.
+
+A realizer run that is blocked, runs out of fuel or returns no prefix of its
+path raises RealizerFailed with a reason and the steps it ran.  Extraction
+stops without a bound in one way only, ExtractionExhausted: at the stage
+limit, or at the first failed run, whose reason, sequence and steps it keeps.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .machine import (
     Jmp,
     Decjz,
     Oracle,
-    OutOfFuel,
     Program,
     Query,
     pair,
@@ -52,25 +56,22 @@ PATH_SLICE = 8  # reserved slice for path bits; BarRealizer rejects nodes that r
 EXTRACTION_FUEL = 1_000_000  # default step budget of one realizer run
 
 
-class InvalidRealizer(Exception):
-    """The realizer's output was not a prefix of the path it was shown."""
+class RealizerFailed(Exception):
+    """One realizer run gave no prefix of its path, for `reason`, after
+    `steps` steps: `realizer fuel`, `realizer blocked query <q>`, or
+    `invalid realizer output ...` naming what is wrong with the output."""
 
-
-class RealizerBlocked(Exception):
-    """The realizer asked the surrounding oracle something it cannot answer."""
-
-    def __init__(self, query: int):
-        super().__init__(f"blocked on query {query}")
-        self.query = query
-
-
-class RealizerOutOfFuel(Exception):
-    """The realizer did not settle within its step budget."""
+    def __init__(self, reason: str, steps: int):
+        super().__init__(reason)
+        self.reason = reason
+        self.steps = steps
 
 
 class ExtractionExhausted(Exception):
-    """Bound search gave up at `stage` with `uncovered` left; `sequence` and
-    `steps` name the realizer run that used up its fuel (None at the stage limit)."""
+    """Bound search gave up at `stage` with `uncovered` left, for `reason`.
+    Every way extraction stops without a bound arrives here: the stage limit
+    (`sequence` and `steps` None), or a failed realizer run, whose reason,
+    sequence and steps are given."""
 
     def __init__(self, stage: int, uncovered: tuple[Bits, ...], reason: str,
                  sequence: Bits | None = None, steps: int | None = None):
@@ -111,10 +112,9 @@ class RoutedOracle(_Value):
     """Splits queries: the reserved slice reads the path, the rest go through."""
 
     __slots__ = __match_args__ = ("base", "path")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
     def __init__(self, base: Oracle, path: PathOracle):
-        self.base = base
-        self.path = path
+        _set(self, "base", base)
+        _set(self, "path", path)
 
     def answer(self, query: int) -> Answer:
         k, s = unpair(query)
@@ -140,7 +140,8 @@ def apply_realizer_to_path(realizer: BarRealizer, path: PathOracle) -> tuple[Bit
     """Run the realizer against a path; return (prefix, use).
 
     The realizer is applied to input 0; its output must be the canonical
-    code of a prefix of the path it saw, else InvalidRealizer.  `use` is one
+    code of a prefix of the path it saw.  A run that is blocked, runs out of
+    fuel or returns anything else raises RealizerFailed.  `use` is one
     past the largest position j of a path query pair(PATH_SLICE, j) in the
     run's trace, or 0 when it read no path bit.
     """
@@ -148,13 +149,16 @@ def apply_realizer_to_path(realizer: BarRealizer, path: PathOracle) -> tuple[Bit
     match res.outcome:
         case Converged(value):
             if not is_canonical_bits_code(value):
-                raise InvalidRealizer(f"output {value} is not a sequence code")
+                raise RealizerFailed(f"invalid realizer output {value} is not a sequence code",
+                                     res.steps)
             bits = code_to_bits(value)
             head = path.head
             shown = head[:len(bits)] + (0,) * (len(bits) - len(head))
             if bits != shown:
                 j = next(j for j, b in enumerate(bits) if b != shown[j])
-                raise InvalidRealizer(f"output {bits} differs from the path at position {j}")
+                raise RealizerFailed(
+                    f"invalid realizer output {bits} differs from the path at position {j}",
+                    res.steps)
             # pair(PATH_SLICE, j) grows with j: when the largest query reads
             # the path, it reads the largest position read.
             queries = res.trace.queries
@@ -163,10 +167,8 @@ def apply_realizer_to_path(realizer: BarRealizer, path: PathOracle) -> tuple[Bit
                 j = max((j for k, j in map(unpair, queries) if k == PATH_SLICE), default=-1)
             return bits, j + 1
         case Blocked(query):
-            raise RealizerBlocked(query)
-        case OutOfFuel():
-            raise RealizerOutOfFuel(f"no output within {realizer.fuel} steps")
-    raise AssertionError("unreachable")
+            raise RealizerFailed(f"realizer blocked query {query}", res.steps)
+    raise RealizerFailed("realizer fuel", res.steps)  # OutOfFuel: steps == fuel
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +213,10 @@ class UniformBound(_Value):
 def extract_bound(realizer: BarRealizer, *, n_max: int = 16) -> UniformBound:
     """Stage-by-stage search for a depth past which the bar covers everything.
 
-    Raises ExtractionExhausted when the stage limit or the realizer's fuel
-    runs out, reporting the stage reached and the sequences still uncovered
-    there.  InvalidRealizer and RealizerBlocked propagate.
+    Every stop without a bound raises ExtractionExhausted with the stage
+    reached and the sequences still uncovered there: at the stage limit, or
+    when a realizer run fails (RealizerFailed), with that run's reason,
+    sequence and steps.  A DeciderPartial from the base oracle propagates.
     """
     cover = CoverSet()
     outputs: set[Bits] = set()
@@ -225,9 +228,8 @@ def extract_bound(realizer: BarRealizer, *, n_max: int = 16) -> UniformBound:
             path = PathOracle.zero_extended(bits)
             try:
                 prefix, _use = apply_realizer_to_path(realizer, path)
-            except RealizerOutOfFuel:
-                raise ExtractionExhausted(n, candidates, "realizer fuel",
-                                          bits, realizer.fuel) from None
+            except RealizerFailed as exc:
+                raise ExtractionExhausted(n, candidates, exc.reason, bits, exc.steps) from None
             outputs.add(prefix)
             tails = product((0, 1), repeat=max(n - len(prefix), 0))
             stage_commits += [prefix + tail for tail in tails]

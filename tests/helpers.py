@@ -13,7 +13,7 @@ from fanlab.fan import (
     PATH_SLICE,
     ExtractionExhausted,
     PathOracle,
-    RealizerOutOfFuel,
+    RealizerFailed,
     RoutedOracle,
     UniformBound,
     apply_realizer_to_path,
@@ -138,9 +138,8 @@ def reference_extract_bound(realizer, *, n_max: int = 16) -> UniformBound:
             path = PathOracle.zero_extended(bits)
             try:
                 prefix, _use = apply_realizer_to_path(realizer, path)
-            except RealizerOutOfFuel:
-                raise ExtractionExhausted(n, candidates, "realizer fuel",
-                                          bits, realizer.fuel) from None
+            except RealizerFailed as exc:
+                raise ExtractionExhausted(n, candidates, exc.reason, bits, exc.steps) from None
             outputs.add(prefix)
             if len(prefix) <= n:
                 for tail in product((0, 1), repeat=n - len(prefix)):

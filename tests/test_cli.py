@@ -230,6 +230,17 @@ def test_extract_bound_fuel_exit_names_the_sequence():
     ]
 
 
+@pytest.mark.parametrize("program, line", [
+    ((Inc(1), Inc(1), Inc(1), Query(1, 0)),  # asks query 3 of the empty oracle
+     "no-bound stage 0 uncovered 1 reason realizer blocked query 3 sequence - steps 4"),
+    ((*[Inc(0)] * 10, Halt()),  # always 10, the code of 0000: wrong on the path 1
+     "no-bound stage 1 uncovered 2 reason invalid realizer output (0, 0, 0, 0) "
+     "differs from the path at position 0 sequence 1 steps 11"),
+])
+def test_extract_bound_failed_run_exit_names_the_sequence(program, line):
+    assert run_cli("extract-bound", "--realizer", str(encode_program(program))) == (1, [line])
+
+
 @pytest.mark.parametrize("length,status", [(9, 2), (8, 0)])
 def test_extract_bound_rejects_nodes_reaching_the_path_slice(length, status, tmp_path, capsys):
     """Slice 8 carries the path; a node of length 9 would answer it too."""

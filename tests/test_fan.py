@@ -12,12 +12,10 @@ from fanlab.fan import (
     BarRealizer,
     CoverSet,
     ExtractionExhausted,
-    InvalidRealizer,
     LOAD_SCRATCH,
     PATH_SLICE,
     PathOracle,
-    RealizerBlocked,
-    RealizerOutOfFuel,
+    RealizerFailed,
     RoutedOracle,
     apply_realizer_to_path,
     compile_bar_table,
@@ -36,6 +34,7 @@ from fanlab.machine import (
     Answer,
     Converged,
     Decjz,
+    Halt,
     Inc,
     Jmp,
     Query,
@@ -45,7 +44,7 @@ from fanlab.machine import (
     run,
 )
 from fanlab.kripke import GroundReal, node_oracle
-from fanlab.trees import bits_to_code
+from fanlab.trees import bits_to_code, format_bits
 
 from helpers import (
     covering_tables,
@@ -145,8 +144,10 @@ def test_empty_realizer():
 def test_non_prefix_output_is_invalid():
     # Always returns the code of 11, wrong on an all-zeros path.
     ones = encode_program(tuple(Inc(0) for _ in range(bits_to_code((1, 1)))))
-    with pytest.raises(InvalidRealizer):
+    with pytest.raises(RealizerFailed) as info:
         apply_realizer_to_path(BarRealizer(ones), PathOracle.zero_extended(()))
+    assert info.value.reason == "invalid realizer output (1, 1) differs from the path at position 0"
+    assert info.value.steps == bits_to_code((1, 1))
 
 
 @pytest.mark.parametrize("head, out, j", [((), (0, 0, 1), 2), ((1, 0), (1, 1), 1),
@@ -154,29 +155,33 @@ def test_non_prefix_output_is_invalid():
 def test_invalid_output_names_the_first_differing_position(head, out, j):
     """The head, then zeros: positions past the head compare with 0."""
     code = encode_program(load_constant_block(bits_to_code(out), 0))
-    with pytest.raises(InvalidRealizer) as info:
+    with pytest.raises(RealizerFailed) as info:
         apply_realizer_to_path(BarRealizer(code), PathOracle.zero_extended(head))
-    assert str(info.value) == f"output {out} differs from the path at position {j}"
+    reason = f"invalid realizer output {out} differs from the path at position {j}"
+    assert info.value.reason == str(info.value) == reason
 
 
 def test_non_sequence_output_is_invalid():
     bad_code = pair(1, 5)  # length 1, value 5: not canonical
     bad = encode_program(tuple(Inc(0) for _ in range(bad_code)))
-    with pytest.raises(InvalidRealizer):
+    with pytest.raises(RealizerFailed) as info:
         apply_realizer_to_path(BarRealizer(bad), PathOracle.zero_extended((1,)))
+    assert info.value.reason == "invalid realizer output 26 is not a sequence code"
+    assert info.value.steps == 26
 
 
 def test_node_queries_propagate_blocked():
     asks_base = encode_program((Query(1, 0),))  # query 0 goes to the base oracle
-    with pytest.raises(RealizerBlocked) as info:
+    with pytest.raises(RealizerFailed) as info:
         apply_realizer_to_path(BarRealizer(asks_base), PathOracle.zero_extended(()))
-    assert info.value.query == 0
+    assert (info.value.reason, info.value.steps) == ("realizer blocked query 0", 1)
 
 
 def test_realizer_fuel_exhaustion():
     loop = encode_program((Jmp(0),))
-    with pytest.raises(RealizerOutOfFuel):
+    with pytest.raises(RealizerFailed) as info:
         apply_realizer_to_path(BarRealizer(loop, fuel=100), PathOracle.zero_extended(()))
+    assert (info.value.reason, info.value.steps) == ("realizer fuel", 100)
 
 
 def test_split_realizer_on_both_heads():
@@ -348,6 +353,26 @@ def test_extraction_fuel_exhaustion_after_longer_commits():
     assert (exc.stage, exc.reason) == (2, "realizer fuel")
     assert exc.uncovered == ((0, 1), (1, 1))
     assert exc.sequence == (1, 1) and exc.steps == 10_000
+
+
+@pytest.mark.parametrize("program, stage, uncovered, reason, sequence, steps", [
+    # Query 3 = pair(2, 0) asks the base oracle, here the empty one.
+    ((Inc(1), Inc(1), Inc(1), Query(1, 0)), 0, ((),), "realizer blocked query 3", (), 4),
+    # Always 10, the code of 0000: right on the zero path, so stage 0
+    # commits 0000; at stage 1 it is wrong on the path 1, then zeros.
+    ((*[Inc(0)] * 10, Halt()), 1, ((0,), (1,)),
+     "invalid realizer output (0, 0, 0, 0) differs from the path at position 0", (1,), 11),
+])
+def test_extraction_stops_on_a_failed_run(program, stage, uncovered, reason, sequence, steps):
+    realizer = BarRealizer(encode_program(program))
+    with pytest.raises(ExtractionExhausted) as info:
+        extract_bound(realizer)
+    exc = info.value
+    assert (exc.stage, exc.uncovered, exc.reason) == (stage, uncovered, reason)
+    assert (exc.sequence, exc.steps) == (sequence, steps)
+    assert str(exc) == (f"no uniform bound by stage {stage} ({len(uncovered)} uncovered, "
+                        f"{reason}: sequence {format_bits(sequence)} used {steps} steps)")
+    assert assert_matches_reference(realizer)[:2] == ("exhausted", stage)
 
 
 # ---------------------------------------------------------------------------
