@@ -36,7 +36,7 @@ CODE_10 = "4469776896592302713903616"  # INC r0 ten times, HALT: outputs 10, the
 CODE_26 = "351"  # INC r0 26 times: 26 = pair(1, 5) codes no sequence
 
 
-def _commands() -> list[tuple[list[str], str | None]]:
+def commands() -> list[tuple[list[str], str | None]]:
     """(argv, FANLAB_SEED or None) for every recorded command."""
     with _chdir(ROOT):
         codes = [str(cli._assemble(path)) for path in ASM]
@@ -95,11 +95,10 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["check", "nosuch"],
         ["census", "--tree", "zeros", "--node", "1"],
     ]
-    commands = [(argv, None) for argv in argvs]
-    commands += [(["check", "persistence", "--trials", "20"], "7"),
-                 (["check", "extraction", "--trials", "3"], "7"),
-                 (["check", "persistence", "--trials", "5"], "x")]
-    return commands
+    seeded = [(["check", "persistence", "--trials", "20"], "7"),
+              (["check", "extraction", "--trials", "3"], "7"),
+              (["check", "persistence", "--trials", "5"], "x")]
+    return [(argv, None) for argv in argvs] + seeded
 
 
 @contextlib.contextmanager
@@ -145,12 +144,9 @@ def capture(argv: list[str], seed: str | None) -> dict:
     return record
 
 
-def transcript() -> list[dict]:
-    return [capture(argv, seed) for argv, seed in _commands()]
-
-
 def main() -> None:
-    TRANSCRIPT.write_text(json.dumps(transcript(), indent=1) + "\n")
+    records = [capture(argv, seed) for argv, seed in commands()]
+    TRANSCRIPT.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {TRANSCRIPT.relative_to(ROOT)}")
 
 

@@ -267,15 +267,18 @@ def _decider_loop_files(tmp_path) -> dict[str, Path]:
     return {"loop": loop, "family": family, "probe": probe}
 
 
-@pytest.mark.parametrize("command", ["census", "eval"])
+@pytest.mark.parametrize("command", ["census", "eval", "extract-bound"])
 def test_non_settling_deciders_exit_2(command, tmp_path, capsys):
     files = _decider_loop_files(tmp_path)
     if command == "census":
         argv = ("census", "--tree", f"decider {files['loop']}", "--fuel", "50")
         message = "error: decider exceeded fuel 50 at input 0"
     else:  # node 0,0 opens slice 1, whose ground real loops
-        argv = ("eval", str(files["probe"]), "0", "--family", str(files["family"]),
-                "--node", "0,0")
+        family = ("--family", str(files["family"]), "--node", "0,0")
+        if command == "eval":
+            argv = ("eval", str(files["probe"]), "0", *family)
+        else:  # a realizer's base-oracle question is not a failed run
+            argv = ("extract-bound", "--realizer", str(files["probe"]), *family)
         message = "error: decider exceeded fuel 100000 at input 0"
     assert run_cli(*argv) == (2, [])
     err = capsys.readouterr().err

@@ -18,7 +18,7 @@ def _recorder(monkeypatch):
 def test_transcript_lists_the_recorded_commands(monkeypatch):
     recorder = _recorder(monkeypatch)
     records = json.loads(recorder.TRANSCRIPT.read_text())
-    assert [(r["argv"], r.get("seed")) for r in records] == recorder._commands()
+    assert [(r["argv"], r.get("seed")) for r in records] == recorder.commands()
 
 
 def test_cli_output_matches_the_transcript(monkeypatch):
