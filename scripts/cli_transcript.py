@@ -30,7 +30,12 @@ TRANSCRIPT = ROOT / "tests" / "cli_transcript.json"
 
 ASM = [f"scripts/asm/{name}.asm"
        for name in ("first_bit", "first_zero", "pair", "parity", "slice_probe", "triple")]
+MNEMONICS = "tests/data/all_mnemonics.asm"  # all five, labels, mixed case, comments
 FAMILY = "tests/data/nine_slices.txt"
+COMMENTED_FAMILY = "tests/data/family_commented.txt"
+BAD_FAMILIES = [f"tests/data/family_{name}.txt"
+                for name in ("duplicate_index", "bad_pattern", "comments_only", "index_gap")]
+TABLE = "table tests/data/bar_commented.tbl"
 BLOCKED = "22194448"  # INC r1 three times, QUERY r1 r0: asks query 3
 CODE_10 = "4469776896592302713903616"  # INC r0 ten times, HALT: outputs 10, the code of 0000
 CODE_26 = "351"  # INC r0 26 times: 26 = pair(1, 5) codes no sequence
@@ -40,6 +45,7 @@ def commands() -> list[tuple[list[str], str | None]]:
     """(argv, FANLAB_SEED or None) for every recorded command."""
     with _chdir(ROOT):
         codes = [str(cli._assemble(path)) for path in ASM]
+        mnemonics_code = str(cli._assemble(MNEMONICS))
     argvs: list[list[str]] = []
     for path, code in zip(ASM, codes):
         argvs += [["asm", path], ["encode", path], ["decode", code]]
@@ -47,6 +53,10 @@ def commands() -> list[tuple[list[str], str | None]]:
             argvs += [["eval", path, "3", "--fuel", fuel],
                       ["eval", path, "3", "--fuel", fuel, "--node", "1,2"]]
     argvs += [
+        ["asm", MNEMONICS],
+        ["encode", MNEMONICS],
+        ["decode", mnemonics_code],
+        ["decode", CODE_10],
         ["eval", CODE_10, "0"],
         ["eval", "scripts/asm/slice_probe.asm", "0", "--family", FAMILY, "--node", "0,0,1"],
         ["census", "--tree", "full", "--depth", "5"],
@@ -61,6 +71,7 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["wwkl", "--tree", "full", "--max", "4"],
         ["kleene", "--depth", "14"],
         ["kleene", "--depth", "14", "--node", "1,2"],
+        ["kleene", "--depth", "10", "--family", COMMENTED_FAMILY, "--node", "0,1,3"],
         ["extract-bound", "--realizer", "scripts/asm/first_bit.asm"],
         ["extract-bound", "--realizer", "scripts/asm/first_zero.asm", "--max", "6"],
         ["extract-bound", "--realizer", "scripts/asm/first_zero.asm"],
@@ -73,6 +84,8 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["verify-bound", "--bar", "depth 3", "--depth", "3"],
         ["verify-bound", "--bar", "depth 3", "--depth", "2"],
         ["verify-bound", "--bar", "scripts/asm/parity.asm", "--depth", "2"],
+        ["verify-bound", "--bar", TABLE, "--depth", "2"],
+        ["verify-bound", "--bar", TABLE, "--depth", "1"],
         ["check", "persistence", "--trials", "20"],
         ["check", "lemma1"],
         ["check", "lemma1", "--fuel", "0"],
@@ -87,6 +100,8 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["census", "--tree", "bogus"],
         ["census", "--tree", "decider 'scripts"],
         ["verify-bound", "--bar", "depth", "--depth", "2"],
+        ["verify-bound", "--bar", "table tests/data/bar_bad_line.tbl", "--depth", "2"],
+        *(["kleene", "--depth", "2", "--family", path] for path in BAD_FAMILIES),
         ["census", "--tree", "decider scripts/asm/first_zero.asm", "--fuel", "5"],
         ["extract-bound", "--realizer", "scripts/asm/first_bit.asm",
          "--family", FAMILY, "--node", "0,0,0,0,0,0,0,0,1"],
@@ -94,6 +109,7 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["kleene", "--depth", "x"],
         ["check", "nosuch"],
         ["census", "--tree", "zeros", "--node", "1"],
+        ["wwkl", "--tree", "zeros", "--node", "1"],
     ]
     seeded = [(["check", "persistence", "--trials", "20"], "7"),
               (["check", "extraction", "--trials", "3"], "7"),

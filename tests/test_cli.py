@@ -84,21 +84,29 @@ def test_blank_and_comment_lines_ignored():
     assert parse_assembly("\n# nothing\n   \nHALT\n") == (Halt(),)
 
 
+ASM_ERRORS = {  # text: line, column, message
+    "INC rx": (1, 5, "expected a register like r0, got 'rx'"),
+    "BUMP r1": (1, 1, "unknown mnemonic 'BUMP'"),
+    "INC r1 r2": (1, 1, "INC takes 1 operand(s), got 2"),
+    "JMP nowhere": (1, 5, "undefined label 'nowhere'"),
+    "a:\na: HALT": (2, 1, "duplicate label 'a'"),
+    "HALT\n  DECJZ r0 missing": (2, 12, "undefined label 'missing'"),
+    "decjz r0": (1, 1, "DECJZ takes 2 operand(s), got 1"),
+    "halt r0": (1, 1, "HALT takes 0 operand(s), got 1"),
+    "QUERY r0 5": (1, 10, "expected a register like r0, got '5'"),
+    "DECJZ x r9": (1, 7, "expected a register like r0, got 'x'"),
+    "1x: HALT": (1, 1, "bad label '1x'"),
+}
+
+
 @pytest.mark.parametrize(
-    "text,line,column",
-    [
-        ("INC rx", 1, 5),          # bad register
-        ("BUMP r1", 1, 1),         # unknown mnemonic
-        ("INC r1 r2", 1, 1),       # arity
-        ("JMP nowhere", 1, 5),     # undefined label
-        ("a:\na: HALT", 2, 1),     # duplicate label
-        ("HALT\n  DECJZ r0 missing", 2, 12),
-    ],
+    "text,line,column", [(text, line, column) for text, (line, column, _) in ASM_ERRORS.items()]
 )
 def test_asm_errors_carry_position(text, line, column):
     with pytest.raises(AsmError) as info:
         parse_assembly(text)
     assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"line {line}, column {column}: {ASM_ERRORS[text][2]}"
 
 
 # ---------------------------------------------------------------------------
