@@ -110,6 +110,8 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["check", "nosuch"],
         ["census", "--tree", "zeros", "--node", "1"],
         ["wwkl", "--tree", "zeros", "--node", "1"],
+        ["check", "kleene", "--trials", "3"],  # a suite takes only the options it reads
+        ["check", "lemma1", "--depth", "5"],
     ]
     seeded = [(["check", "persistence", "--trials", "20"], "7"),
               (["check", "extraction", "--trials", "3"], "7"),

@@ -84,7 +84,10 @@ class AsmError(CliInputError):
 # ---------------------------------------------------------------------------
 # Assembler
 
-_ARITY = {"INC": 1, "DECJZ": 2, "JMP": 1, "QUERY": 2, "HALT": 0}
+# Mnemonic: instruction type, operand kinds (`r` a register, `t` a jump target).
+_SYNTAX = {"INC": (Inc, "r"), "DECJZ": (Decjz, "rt"), "JMP": (Jmp, "t"),
+           "QUERY": (Query, "rr"), "HALT": (Halt, "")}
+_MNEMONIC = {cls: mnemonic for mnemonic, (cls, _) in _SYNTAX.items()}
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -105,7 +108,7 @@ def _parse_register(token: str, lineno: int, col: int) -> int:
 def parse_assembly(text: str) -> Program:
     """Assemble text into a program, resolving labels to instruction indices."""
     labels: dict[str, int] = {}
-    pending: list[tuple[str, list[tuple[str, int]], int]] = []  # mnemonic, args, line
+    pending: list[tuple[type, str, list[tuple[str, int]], int]] = []  # type, kinds, args, line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokenize(raw)
         while toks and toks[0][0].endswith(":"):
@@ -119,57 +122,39 @@ def parse_assembly(text: str) -> Program:
         if not toks:
             continue
         mnemonic = toks[0][0].upper()
-        if mnemonic not in _ARITY:
+        if mnemonic not in _SYNTAX:
             raise AsmError(f"unknown mnemonic {toks[0][0]!r}", lineno, toks[0][1])
-        if len(toks) - 1 != _ARITY[mnemonic]:
-            raise AsmError(
-                f"{mnemonic} takes {_ARITY[mnemonic]} operand(s), got {len(toks) - 1}",
-                lineno, toks[0][1],
-            )
-        pending.append((mnemonic, toks[1:], lineno))
+        cls, kinds = _SYNTAX[mnemonic]
+        if len(toks) - 1 != len(kinds):
+            raise AsmError(f"{mnemonic} takes {len(kinds)} operand(s), got {len(toks) - 1}",
+                           lineno, toks[0][1])
+        pending.append((cls, kinds, toks[1:], lineno))
 
-    def target(token: str, lineno: int, col: int) -> int:
+    def operand(kind: str, token: str, lineno: int, col: int) -> int:
+        if kind == "r":
+            return _parse_register(token, lineno, col)
         if is_natural(token):
             return int(token)
         if token in labels:
             return labels[token]
         raise AsmError(f"undefined label {token!r}", lineno, col)
 
-    out: list[Instruction] = []
-    for mnemonic, args, lineno in pending:
-        if mnemonic == "INC":
-            out.append(Inc(_parse_register(args[0][0], lineno, args[0][1])))
-        elif mnemonic == "DECJZ":
-            out.append(Decjz(_parse_register(args[0][0], lineno, args[0][1]),
-                             target(args[1][0], lineno, args[1][1])))
-        elif mnemonic == "JMP":
-            out.append(Jmp(target(args[0][0], lineno, args[0][1])))
-        elif mnemonic == "QUERY":
-            out.append(Query(_parse_register(args[0][0], lineno, args[0][1]),
-                             _parse_register(args[1][0], lineno, args[1][1])))
-        else:
-            out.append(Halt())
-    return tuple(out)
+    return tuple(
+        cls(*[operand(kind, token, lineno, col) for kind, (token, col) in zip(kinds, args)])
+        for cls, kinds, args, lineno in pending
+    )
 
 
 def format_instruction(ins: Instruction) -> str:
-    match ins:
-        case Inc(reg):
-            return f"INC r{reg}"
-        case Decjz(reg, tgt):
-            return f"DECJZ r{reg} {tgt}"
-        case Jmp(tgt):
-            return f"JMP {tgt}"
-        case Query(src, dst):
-            return f"QUERY r{src} r{dst}"
-        case Halt():
-            return "HALT"
-    raise TypeError(f"not an instruction: {ins!r}")
+    mnemonic = _MNEMONIC.get(type(ins))
+    if mnemonic is None:
+        raise TypeError(f"not an instruction: {ins!r}")
+    values = (getattr(ins, field) for field in ins.__match_args__)
+    kinds = _SYNTAX[mnemonic][1]
+    return " ".join([mnemonic, *(f"r{v}" if k == "r" else str(v) for k, v in zip(kinds, values))])
 
 
-def format_program(program: Program, indices: bool = True) -> str:
-    if not indices:
-        return "\n".join(format_instruction(i) for i in program)
+def format_program(program: Program) -> str:
     width = len(str(max(len(program) - 1, 0)))
     return "\n".join(
         f"{i:>{width}}: {format_instruction(ins)}" for i, ins in enumerate(program)
@@ -208,13 +193,18 @@ def default_family() -> Family:
     )
 
 
+def _records(path: str):
+    """(line number, text) of each nonblank line of the file, `#` comment cut."""
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_family_file(path: str) -> Family:
     entries: dict[int, GroundReal] = {}
     base = Path(path).parent
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _records(path):
         head, sep, rest = line.partition(":")
         if not sep or not is_natural(head.strip()):
             raise CliInputError(f"{path}:{lineno}: expected 'n: pattern <bits>' or 'n: <asm path>'")
@@ -280,10 +270,7 @@ def parse_tree_spec(spec: str, family: Family, fuel: int) -> DecidableTree:
 
 def parse_bar_table_file(path: str) -> frozenset[Bits]:
     out: set[Bits] = set()
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _records(path):
         try:
             out.add(parse_bits(line))
         except ValueError as exc:
@@ -307,11 +294,15 @@ def parse_bar_spec(spec: str, oracle, fuel: int):
 # ---------------------------------------------------------------------------
 # Commands
 
-def _cmd_asm(args) -> int:
-    program = parse_assembly(_read_text(args.file))
-    print(f"code {encode_program(program)}")
+def _print_listing(code: int, program: Program) -> None:
+    print(f"code {code}")
     if program:
         print(format_program(program))
+
+
+def _cmd_asm(args) -> int:
+    program = parse_assembly(_read_text(args.file))
+    _print_listing(encode_program(program), program)
     return 0
 
 
@@ -321,10 +312,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    program = decode_program(args.code)
-    print(f"code {args.code}")
-    if program:
-        print(format_program(program))
+    _print_listing(args.code, decode_program(args.code))
     return 0
 
 
@@ -418,7 +406,7 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-# Each suite returns (ok, lines): its verdict and the records it prints.
+# Each suite returns (ok, lines), its verdict and records; it reads its `_SUITES` options.
 
 def _suite_persistence(args, rng: random.Random) -> tuple[bool, list[str]]:
     family = default_family()
@@ -505,6 +493,7 @@ def _suite_census(args, rng: random.Random) -> tuple[bool, list[str]]:
     return ok, [f"census {_verdict(ok)} trees {len(specs)} depth {args.depth} failures {bad}"]
 
 
+# Suite name: its function and its options, each a natural, with defaults.
 _SUITES = {
     "persistence": (_suite_persistence, {"trials": 500, "fuel": 10_000}),
     "lemma1": (_suite_slice_gate, {"fuel": DEFAULT_FUEL}),
@@ -515,15 +504,11 @@ _SUITES = {
 
 
 def _cmd_check(args) -> int:
-    suite_fn, defaults = _SUITES[args.suite]
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
     seed = os.environ.get("FANLAB_SEED", "0")
     if not is_natural(seed):
         raise CliInputError(f"FANLAB_SEED must be a natural number, got {seed!r}")
     rng = random.Random(int(seed))
-    ok, lines = suite_fn(args, rng)
+    ok, lines = _SUITES[args.suite][0](args, rng)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -550,8 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    # Options that several commands take, each declared once as a parent parser.
+    node, family, fuel = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    node.add_argument("--node", help="Kripke node, e.g. 2,0,1 (default: no oracle)")
+    family.add_argument("--family", help="ground-real family file (default: six patterns)")
+    fuel.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL, help="default: %(default)s")
+
+    def add(name, fn, *parents, **kwargs):
+        p = sub.add_parser(name, parents=parents, **kwargs)
         p.set_defaults(func=fn)
         return p
 
@@ -564,50 +555,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decode", _cmd_decode, help="print the listing of a program code")
     p.add_argument("code", type=_natural)
 
-    p = add("eval", _cmd_eval, help="run a program against a node oracle")
+    p = add("eval", _cmd_eval, node, family, fuel, help="run a program against a node oracle")
     p.add_argument("program", help="program code, or path to an assembly file")
     p.add_argument("input", type=_natural)
-    p.add_argument("--node", default=None, help="Kripke node, e.g. 2,0,1 (default: no oracle)")
-    p.add_argument("--family", default=None, help="ground-real family file")
-    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
 
-    p = add("kleene", _cmd_kleene, help="level counts and a witness path of the Kleene tree")
+    p = add("kleene", _cmd_kleene, node, family,
+            help="level counts and a witness path of the Kleene tree")
     p.add_argument("--depth", type=_natural, default=12)
-    p.add_argument("--node", default=None)
-    p.add_argument("--family", default=None)
 
-    p = add("census", _cmd_census, help="level counts of a tree: lines 'n count 2^n'")
+    p = add("census", _cmd_census, family, fuel, help="level counts of a tree: lines 'n count 2^n'")
     p.add_argument("--tree", required=True)
     p.add_argument("--depth", type=_natural, default=8)
     p.add_argument("--scan", action="store_true", help="full 2^n scan instead of frontier expansion")
-    p.add_argument("--family", default=None)
-    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
 
-    p = add("wwkl", _cmd_wwkl, help="least level where at least half the sequences are outside the tree")
+    p = add("wwkl", _cmd_wwkl, family, fuel,
+            help="least level where at least half the sequences are outside the tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--max", type=_natural, default=10)
-    p.add_argument("--family", default=None)
-    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
 
-    p = add("extract-bound", _cmd_extract_bound, help="stage-wise uniform bound extraction from a realizer")
+    p = add("extract-bound", _cmd_extract_bound, node, family,
+            help="stage-wise uniform bound extraction from a realizer")
     p.add_argument("--realizer", required=True, help="assembly file or program code")
-    p.add_argument("--node", default=None)
-    p.add_argument("--family", default=None)
     p.add_argument("--fuel", type=_natural, default=fan.EXTRACTION_FUEL)
     p.add_argument("--max", type=_natural, default=16, help="stage limit")
 
-    p = add("verify-bound", _cmd_verify_bound, help="exhaustively confirm a depth bound against a bar")
+    p = add("verify-bound", _cmd_verify_bound, node, family, fuel,
+            help="exhaustively confirm a depth bound against a bar")
     p.add_argument("--bar", required=True)
     p.add_argument("--depth", type=_natural, required=True)
-    p.add_argument("--node", default=None)
-    p.add_argument("--family", default=None)
-    p.add_argument("--fuel", type=_natural, default=DEFAULT_FUEL)
 
     p = add("check", _cmd_check, help="run a property suite; nonzero exit on failure")
-    p.add_argument("suite", choices=sorted(_SUITES))
-    p.add_argument("--depth", type=_natural, default=None)
-    p.add_argument("--fuel", type=_natural, default=None)
-    p.add_argument("--trials", type=_natural, default=None)
+    suites = p.add_subparsers(dest="suite", required=True)
+    for name in sorted(_SUITES):  # the order argparse lists them in
+        q = suites.add_parser(name)
+        for option, default in _SUITES[name][1].items():
+            q.add_argument(f"--{option}", type=_natural, default=default,
+                           help="default: %(default)s")
 
     return parser
 

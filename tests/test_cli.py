@@ -3,6 +3,8 @@
 import io
 import contextlib
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from fanlab import cli
 from fanlab.cli import (
     AsmError,
     default_family,
+    format_instruction,
     format_program,
     main,
     parse_assembly,
@@ -27,6 +30,7 @@ from fanlab.machine import (
     Jmp,
     Query,
     encode_program,
+    random_program,
 )
 
 
@@ -40,6 +44,11 @@ def run_cli(*argv: str) -> tuple[int, list[str]]:
         code = main(list(argv))
     lines = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
     return code, lines
+
+
+def source(program) -> str:
+    """Assembly text of a program: one instruction per line, no indices."""
+    return "\n".join(map(format_instruction, program))
 
 
 def full_output(*argv: str) -> tuple[int, str]:
@@ -72,7 +81,16 @@ def test_parse_assembly_golden():
 
 def test_assembly_listing_reparses_to_same_program():
     program = parse_assembly(GOLDEN_ASM)
-    assert parse_assembly(format_program(program, indices=False)) == program
+    assert parse_assembly(source(program)) == program
+    with pytest.raises(TypeError, match="not an instruction: 'INC r0'"):
+        format_instruction("INC r0")
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(min_value=0))
+def test_random_programs_round_trip_through_assembly(seed):
+    program = random_program(random.Random(seed))
+    assert parse_assembly(source(program)) == program
 
 
 def test_numeric_targets_and_case():
@@ -143,7 +161,7 @@ def test_codes_past_the_digit_limit(command, tmp_path, capsys):
     program = take_prefix_program(7)
     listing = format_program(program).splitlines()
     f = tmp_path / "take7.asm"
-    f.write_text(format_program(program, indices=False) + "\n")
+    f.write_text(source(program) + "\n")
     limit = digit_limit()
     status, lines = run_cli("encode", str(f))
     assert status == 0 and len(lines) == 1 and lines[0].startswith("code ")
@@ -214,7 +232,7 @@ def test_kleene_command():
 
 def test_extract_bound_golden(tmp_path):
     f = tmp_path / "split.asm"
-    f.write_text(format_program(first_bit_split_program(), indices=False) + "\n")
+    f.write_text(source(first_bit_split_program()) + "\n")
     code, lines = run_cli("extract-bound", "--realizer", str(f))
     assert code == 0
     assert lines == ["bound 2", "00 0", "01 0", "10 10", "11 11"]
@@ -222,7 +240,7 @@ def test_extract_bound_golden(tmp_path):
 
 def test_extract_bound_stage_limit_exit(tmp_path):
     f = tmp_path / "take5.asm"
-    f.write_text(format_program(take_prefix_program(5), indices=False) + "\n")
+    f.write_text(source(take_prefix_program(5)) + "\n")
     code, lines = run_cli("extract-bound", "--realizer", str(f), "--max", "3")
     assert code == 1
     assert lines == ["no-bound stage 3 uncovered 8 reason stage limit"]
@@ -407,6 +425,49 @@ def test_census_and_wwkl_take_no_node(capsys):
         assert "unrecognized arguments: --node 1" in capsys.readouterr().err
 
 
+# Each sub-command and check suite: the options its --help lists, beside --help.
+HELP_OPTIONS = {
+    ("asm",): set(), ("encode",): set(), ("decode",): set(), ("check",): set(),
+    ("eval",): {"--node", "--family", "--fuel"},
+    ("kleene",): {"--depth", "--node", "--family"},
+    ("census",): {"--tree", "--depth", "--scan", "--family", "--fuel"},
+    ("wwkl",): {"--tree", "--max", "--family", "--fuel"},
+    ("extract-bound",): {"--realizer", "--node", "--family", "--fuel", "--max"},
+    ("verify-bound",): {"--bar", "--depth", "--node", "--family", "--fuel"},
+    ("check", "persistence"): {"--trials", "--fuel"},
+    ("check", "lemma1"): {"--fuel"},
+    ("check", "kleene"): {"--depth"},
+    ("check", "extraction"): {"--trials"},
+    ("check", "census"): {"--depth", "--fuel"},
+}
+
+
+def _help(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_OPTIONS), ids=" ".join)
+def test_every_command_and_suite_answers_help_with_its_options(argv):
+    assert argv[-1] in _help(argv[:-1])  # listed by its parent
+    assert set(re.findall(r"--[a-z-]+", _help(argv))) == HELP_OPTIONS[argv] | {"--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "kleene", "--trials", "3"),  # kleene reads only --depth
+    ("check", "lemma1", "--depth", "5"),  # lemma1 reads only --fuel
+    ("check", "--trials", "3", "persistence"),  # options follow the suite name
+    ("check", "--trials=3", "persistence"),
+])
+def test_check_refuses_options_its_suite_does_not_read(argv, capsys):
+    assert _exit_status(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_check_suites_pass():
     for suite in sorted(cli._SUITES):
         code, lines = run_cli("check", suite)
@@ -571,7 +632,7 @@ def fuzz_vocabulary(tmp_path_factory) -> tuple[list[str], dict[str, list[str]]]:
         "wwkl": ["--tree", "zeros", "--max", "5", "--fuel", "2000"],
         "extract-bound": ["--realizer", first_bit, "--max", "5", "--fuel", "20000"],
         "verify-bound": ["--bar", "depth 2", "--depth", "3", "--fuel", "2000"],
-        "check": ["--trials", "3", "--depth", "4", "--fuel", "2000"],
+        "check": [],  # every suite refuses some option, and at its defaults takes 3-91 ms
     }
     return values, baseline
 
