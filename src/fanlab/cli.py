@@ -584,8 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bar", required=True)
     p.add_argument("--depth", type=_natural, required=True)
 
-    p = add("check", _cmd_check, help="run a property suite; nonzero exit on failure")
-    suites = p.add_subparsers(dest="suite", required=True)
+    p = add("check", _cmd_check, usage="%(prog)s SUITE [--OPTION N ...]",
+            help="run a property suite; nonzero exit on failure")
+    # prog given, or argparse would put the usage above into each suite's usage
+    suites = p.add_subparsers(dest="suite", required=True, prog=p.prog)
     for name in sorted(_SUITES):  # the order argparse lists them in
         q = suites.add_parser(name)
         for option, default in _SUITES[name][1].items():

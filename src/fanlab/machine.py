@@ -213,13 +213,48 @@ HALT = Halt()
 def pair(a: int, b: int) -> int:
     """Cantor pairing: a bijection between pairs of naturals and naturals."""
     s = a + b
-    return s * (s + 1) // 2 + b
+    return ((s * s + s) >> 1) + b
 
 
 def unpair(q: int) -> tuple[int, int]:
     w = (isqrt(8 * q + 1) - 1) // 2
     b = q - w * (w + 1) // 2
     return w - b, b
+
+
+_WIDE = 6000  # bits; a cut-off of 3k or 6k decodes 70k-150k-bit codes alike, 12k 1-2% slower
+
+
+def _sqrtrem(n: int) -> tuple[int, int]:
+    """(isqrt(n), n - isqrt(n)**2) by Zimmermann's recursive square root
+    ("Karatsuba Square Root", INRIA RR-3805, 1999): per level one half-size
+    root, one divmod and one quarter-size square, and no full-size square."""
+    if n.bit_length() <= _WIDE:
+        s = isqrt(n)
+        return s, n - s * s
+    k = (n.bit_length() + 3) >> 2  # limb width: four limbs, the top one >= 2^k / 4
+    t = (4 * k - n.bit_length()) >> 1  # shift n left by 2t, t in {0, 1}
+    n <<= 2 * t
+    mask = (1 << k) - 1
+    s, r = _sqrtrem(n >> 2 * k)
+    q, u = divmod((r << k) | (n >> k & mask), s << 1)
+    s = (s << k) + q
+    r = ((u << k) | (n & mask)) - q * q
+    if r < 0:
+        r += 2 * s - 1
+        s -= 1
+    if t and s & 1:  # unshifted: root s >> 1, remainder (r + 2s - 1) >> 2
+        r += 2 * s - 1
+    return s >> t, r >> 2 * t
+
+
+def _split(q: int) -> tuple[int, int]:
+    """unpair(q); a wide q takes b from the remainder of 8q + 1, squaring nothing wide."""
+    if q.bit_length() <= _WIDE:
+        return unpair(q)
+    s, r = _sqrtrem(8 * q + 1)
+    b = (r if s & 1 else r - 1 + 2 * s) >> 3
+    return ((s - 1) >> 1) - b, b
 
 
 _TAG_INC, _TAG_DECJZ, _TAG_JMP, _TAG_QUERY, _TAG_HALT = range(5)
@@ -282,7 +317,7 @@ def _encode_tree(codes: list[int], nonzero: list[int], lo: int, hi: int) -> int:
     return pair(_encode_tree(codes, nonzero, lo, mid), _encode_tree(codes, nonzero, mid, hi))
 
 
-def _decode_seq(n: int, value: int) -> list[int]:
+def _decode_seq(n: int, value: int, split: Callable[[int], tuple[int, int]]) -> list[int]:
     """Inverse of _encode_seq for n >= 1 codes; a 0 subtree stays all zeros."""
     codes = [0] * n
     pending = [(0, n, value)]
@@ -294,7 +329,7 @@ def _decode_seq(n: int, value: int) -> list[int]:
             codes[lo] = value
             continue
         h = size // 2
-        left, right = unpair(value)
+        left, right = split(value)
         pending.append((lo, h, left))
         pending.append((lo + h, size - h, right))
     return codes
@@ -313,10 +348,11 @@ def encode_program(program: Iterable[Instruction]) -> int:
 def decode_program(code: int) -> Program:
     if code < 0:
         raise ValueError(f"not a program code: {code}")
-    n, body = unpair(code)
+    split = _split if code.bit_length() > _WIDE else unpair  # a narrow code has no wide part
+    n, body = split(code)
     if n == 0:
         return ()
-    return tuple(decode_instruction(c) if c else _INC_R0 for c in _decode_seq(n, body))
+    return tuple(decode_instruction(c) if c else _INC_R0 for c in _decode_seq(n, body, split))
 
 
 # ---------------------------------------------------------------------------

@@ -468,6 +468,15 @@ def test_check_refuses_options_its_suite_does_not_read(argv, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_check_usage_shows_that_options_follow_the_suite(capsys):
+    """An option before the suite name is read as the suite: the message then
+    names its value as an invalid choice, and the usage line shows the order."""
+    assert _exit_status(("check", "--trials", "3", "persistence")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fanlab check SUITE [--OPTION N ...]\n")
+    assert "argument suite: invalid choice" in err
+
+
 def test_check_suites_pass():
     for suite in sorted(cli._SUITES):
         code, lines = run_cli("check", suite)

@@ -6,6 +6,7 @@ import gc
 import pickle
 import random
 import re
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,6 +79,63 @@ def test_unpair_inverts_pair(a, b):
 def test_pair_inverts_unpair(q):
     a, b = unpair(q)
     assert pair(a, b) == q
+
+
+def test_unpair_and_the_wide_split_invert_pair_on_wide_arguments(rng):
+    """Up to 100k bits a side: `naturals` never gets past about 128."""
+    top = (1 << 100_000) - 1
+    cases = [(0, top), (top, 0), (top, top)]
+    cases += [(rng.getrandbits(rng.randrange(100_001)), rng.getrandbits(rng.randrange(100_001)))
+              for _ in range(12)]
+    for a, b in cases:
+        assert unpair(pair(a, b)) == (a, b)
+        assert machine._split(pair(a, b)) == (a, b)
+
+
+def _sqrtrem_reference(n):
+    s = isqrt(n)
+    return s, n - s * s
+
+
+def test_sqrtrem_matches_isqrt_across_the_cut_off(rng):
+    for bits in range(machine._WIDE - 10, machine._WIDE + 11):
+        for n in (1 << bits - 1, (1 << bits) - 1, rng.getrandbits(bits) | 1 << bits - 1):
+            assert machine._sqrtrem(n) == _sqrtrem_reference(n), n.bit_length()
+
+
+def test_sqrtrem_matches_isqrt_at_squares_and_wide_sizes(rng):
+    for bits in (machine._WIDE + 1, 2 * machine._WIDE + 3, 50_000):
+        s = isqrt(rng.getrandbits(bits) | 1 << bits - 1)
+        for m, root in ((s * s - 1, s - 1), (s * s, s), (s * s + 1, s), ((s + 1) ** 2 - 1, s)):
+            assert machine._sqrtrem(m) == (root, m - root * root), bits
+    for bits in [300_000] + [rng.randrange(machine._WIDE, 300_000) for _ in range(5)]:
+        n = rng.getrandbits(bits) | 1 << bits - 1
+        assert machine._sqrtrem(n) == _sqrtrem_reference(n), bits
+
+
+def test_split_is_unpair_across_the_cut_off(rng):
+    """Both parities of isqrt(8q + 1) take their own branch: odd when b is at
+    most about half of a + b, even above it."""
+    parities = set()
+    for bits in range(machine._WIDE - 10, machine._WIDE + 11):
+        for quarters in (0, 1, 3, 4):
+            w = rng.getrandbits(bits // 2) | 1 << bits // 2 - 1
+            b = w * quarters // 4
+            q = pair(w - b, b)
+            parities.add(isqrt(8 * q + 1) & 1)
+            assert machine._split(q) == unpair(q) == (w - b, b), bits
+    assert parities == {0, 1}
+
+
+def test_a_wide_program_round_trips(rng):
+    """3,000 instructions code to over 300k bits, decoded by the wide split."""
+    make = (lambda: Inc(rng.randrange(8)), lambda: Decjz(rng.randrange(8), rng.randrange(3000)),
+            lambda: Jmp(rng.randrange(3000)), lambda: Query(rng.randrange(8), rng.randrange(8)),
+            lambda: HALT)
+    program = tuple(rng.choice(make)() for _ in range(3000))
+    code = encode_program(program)
+    assert code.bit_length() > 300_000
+    assert decode_program(code) == program
 
 
 # ---------------------------------------------------------------------------
