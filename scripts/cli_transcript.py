@@ -39,6 +39,7 @@ TABLE = "table tests/data/bar_commented.tbl"
 BLOCKED = "22194448"  # INC r1 three times, QUERY r1 r0: asks query 3
 CODE_10 = "4469776896592302713903616"  # INC r0 ten times, HALT: outputs 10, the code of 0000
 CODE_26 = "351"  # INC r0 26 times: 26 = pair(1, 5) codes no sequence
+HUGE_COUNT = "170141183460469231759357419826448433154"  # pair(2**64, 1): no list holds 2^64
 
 
 def commands() -> list[tuple[list[str], str | None]]:
@@ -105,6 +106,9 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["census", "--tree", "decider scripts/asm/first_zero.asm", "--fuel", "5"],
         ["extract-bound", "--realizer", "scripts/asm/first_bit.asm",
          "--family", FAMILY, "--node", "0,0,0,0,0,0,0,0,1"],
+        ["decode", HUGE_COUNT],
+        ["eval", HUGE_COUNT, "0"],
+        ["extract-bound", "--realizer", HUGE_COUNT],
         # exit 2: argparse
         ["kleene", "--depth", "x"],
         ["check", "nosuch"],

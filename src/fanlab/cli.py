@@ -461,8 +461,7 @@ def _suite_extraction(args, rng: random.Random) -> tuple[bool, list[str]]:
     ]
     for name, code, expected in cases:
         bound = fan.extract_bound(fan.BarRealizer(code))
-        outputs = bound.realizer_outputs
-        sound = fan.verify_uniform_bound(fan.prefix_hit_bar(outputs), bound.n)
+        sound = fan.verify_uniform_bound(fan.table_bar(bound.realizer_outputs), bound.n)
         good = bound.n == expected and sound
         ok = ok and good
         lines.append(f"extraction-case {name} {_verdict(good)} "
@@ -543,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, *parents, **kwargs):
         p = sub.add_parser(name, parents=parents, **kwargs)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, parser=p)  # the parser that reports stray arguments
         return p
 
     p = add("asm", _cmd_asm, help="assemble a file; print its code and listing")
@@ -627,12 +626,14 @@ def _main(argv: list[str]) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args, stray = _parser.parse_known_args(argv)
+    if stray:
+        args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
     started = time.perf_counter()
     print(f"# fanlab {args.command} inputs {_digest(argv)}")
     try:
         status = args.func(args)
-    except (CliInputError, DeciderPartial) as exc:
+    except (CliInputError, DeciderPartial, machine.ProgramTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"# wall-time {time.perf_counter() - started:.3f}s")

@@ -50,7 +50,7 @@ from .machine import (
     unpair,
 )
 from .machine import _set, _Value
-from .trees import Bits, bits_to_code, code_to_bits, format_bits, is_canonical_bits_code
+from .trees import Bits, bits_to_code, code_to_bits, format_bits
 
 PATH_SLICE = 8  # reserved slice for path bits; BarRealizer rejects nodes that reach it
 EXTRACTION_FUEL = 1_000_000  # default step budget of one realizer run
@@ -102,11 +102,6 @@ class PathOracle:
         head = self.head
         return head[j] if j < len(head) else 0
 
-    @classmethod
-    def zero_extended(cls, head: Bits) -> "PathOracle":
-        """The canonical test path: the given head, then zeros forever."""
-        return cls(head)
-
 
 class RoutedOracle(_Value):
     """Splits queries: the reserved slice reads the path, the rest go through."""
@@ -148,10 +143,11 @@ def apply_realizer_to_path(realizer: BarRealizer, path: PathOracle) -> tuple[Bit
     res = run(realizer.code, 0, RoutedOracle(realizer.base_oracle, path), realizer.fuel)
     match res.outcome:
         case Converged(value):
-            if not is_canonical_bits_code(value):
+            try:
+                bits = code_to_bits(value)
+            except ValueError:
                 raise RealizerFailed(f"invalid realizer output {value} is not a sequence code",
-                                     res.steps)
-            bits = code_to_bits(value)
+                                     res.steps) from None
             head = path.head
             shown = head[:len(bits)] + (0,) * (len(bits) - len(head))
             if bits != shown:
@@ -225,9 +221,8 @@ def extract_bound(realizer: BarRealizer, *, n_max: int = 16) -> UniformBound:
         candidates = cover.uncovered(n)
         stage_commits: list[Bits] = []
         for bits in candidates:
-            path = PathOracle.zero_extended(bits)
             try:
-                prefix, _use = apply_realizer_to_path(realizer, path)
+                prefix, _use = apply_realizer_to_path(realizer, PathOracle(bits))
             except RealizerFailed as exc:
                 raise ExtractionExhausted(n, candidates, exc.reason, bits, exc.steps) from None
             outputs.add(prefix)
@@ -263,12 +258,6 @@ def depth_bar(k: int) -> Callable[[Bits], bool]:
 def table_bar(seqs: Iterable[Bits]) -> Callable[[Bits], bool]:
     table = frozenset(tuple(b) for b in seqs)
     return lambda bits: tuple(bits) in table
-
-
-def prefix_hit_bar(seqs: Iterable[Bits]) -> Callable[[Bits], bool]:
-    """Upward closure of a set: true when some prefix lies in it."""
-    table = frozenset(tuple(b) for b in seqs)
-    return lambda bits: any(bits[:k] in table for k in range(len(bits) + 1))
 
 
 def random_bar_table(rng, depth: int = 4, stop_prob: float = 0.4) -> frozenset[Bits]:

@@ -15,7 +15,6 @@ from itertools import product
 
 from .machine import (
     Answer,
-    BLOCK_ALL,
     BLOCKED,
     DEFAULT_FUEL,
     HALT,
@@ -65,12 +64,12 @@ class GroundReal(_Value):
     """A total 0/1 set of naturals backing one oracle slice.
 
     Presented either as a repeating bit pattern or as the code of a total
-    no-oracle decider program (nonzero output means membership).
+    no-oracle decider program (nonzero output means membership), run at
+    DEFAULT_FUEL.
     """
 
-    __slots__ = __match_args__ = ("pattern", "decider", "fuel")
-    def __init__(self, pattern: tuple[int, ...] | None = None, decider: int | None = None,
-                 fuel: int = DEFAULT_FUEL):
+    __slots__ = __match_args__ = ("pattern", "decider")
+    def __init__(self, pattern: tuple[int, ...] | None = None, decider: int | None = None):
         if (pattern is None) == (decider is None):
             raise ValueError("give exactly one of pattern or decider")
         if pattern is not None:
@@ -78,16 +77,13 @@ class GroundReal(_Value):
                 raise ValueError("pattern must be a nonempty 0/1 sequence")
         elif decider < 0:
             raise ValueError(f"decider must be a natural number, not {decider}")
-        if fuel < 0:
-            raise ValueError(f"fuel must be a natural number, not {fuel}")
         _set(self, "pattern", pattern)
         _set(self, "decider", decider)
-        _set(self, "fuel", fuel)
 
     def contains(self, s: int) -> bool:
         if self.pattern is not None:
             return bool(self.pattern[s % len(self.pattern)])
-        return run_decider(self.decider, s, BLOCK_ALL, self.fuel) != 0
+        return run_decider(self.decider, s) != 0
 
 
 Family = tuple[GroundReal, ...]

@@ -78,10 +78,11 @@ are the register, ``pair(reg, target)``, the target, and ``pair(src, dst)``
 respectively.  A program is ``pair(n, body)`` where n is the instruction
 count and body is a balanced tree of pairs over the instruction codes (the
 left subtree holds the first n // 2 of them), which keeps codes linear in
-program size.  Decoding is total on the naturals: 0 is the empty program
-(which halts immediately with output equal to its input), decode-then-encode
-is the identity on canonical codes, and encode-then-decode is the identity on
-programs.
+program size.  Decoding is total on the naturals whose count n is at most
+``sys.maxsize``, the most items a list can hold; a larger n is refused with
+``ProgramTooLong``.  0 is the empty program (which halts immediately with
+output equal to its input), decode-then-encode is the identity on canonical
+codes, and encode-then-decode is the identity on programs.
 
 Assembly text format (parsed by the ``cli`` module): one instruction per
 line, e.g. ``INC r3``, ``DECJZ r0 12``, ``JMP 4``, ``QUERY r1 r2``, ``HALT``;
@@ -91,6 +92,7 @@ may name labels, which assemble to instruction indices.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
@@ -249,9 +251,7 @@ def _sqrtrem(n: int) -> tuple[int, int]:
 
 
 def _split(q: int) -> tuple[int, int]:
-    """unpair(q); a wide q takes b from the remainder of 8q + 1, squaring nothing wide."""
-    if q.bit_length() <= _WIDE:
-        return unpair(q)
+    """unpair(q), taking b from the remainder of 8q + 1, squaring nothing wide."""
     s, r = _sqrtrem(8 * q + 1)
     b = (r if s & 1 else r - 1 + 2 * s) >> 3
     return ((s - 1) >> 1) - b, b
@@ -345,6 +345,10 @@ def encode_program(program: Iterable[Instruction]) -> int:
     return pair(len(codes), _encode_seq(codes))
 
 
+class ProgramTooLong(ValueError):
+    """A program code whose instruction count no list can hold."""
+
+
 def decode_program(code: int) -> Program:
     if code < 0:
         raise ValueError(f"not a program code: {code}")
@@ -352,6 +356,8 @@ def decode_program(code: int) -> Program:
     n, body = split(code)
     if n == 0:
         return ()
+    if n > sys.maxsize:
+        raise ProgramTooLong(f"a program of {n} instructions is longer than a list can hold")
     return tuple(decode_instruction(c) if c else _INC_R0 for c in _decode_seq(n, body, split))
 
 

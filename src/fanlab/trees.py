@@ -52,13 +52,11 @@ def bits_to_code(bits: Bits) -> int:
 
 
 def code_to_bits(code: int) -> Bits:
+    """Inverse of bits_to_code; ValueError for a code that names no sequence."""
     n, value = unpair(code)
+    if value >> n:
+        raise ValueError(f"{code} is not a sequence code")
     return tuple((value >> j) & 1 for j in range(n))
-
-
-def is_canonical_bits_code(code: int) -> bool:
-    n, value = unpair(code)
-    return value < (1 << n)
 
 
 def format_bits(bits: Bits) -> str:
@@ -273,9 +271,10 @@ class BranchDecider:
             return cached
         value = run_decider(self.code, m, self.oracle, self.fuel)
         self.calls += 1
-        if not is_canonical_bits_code(value):
-            raise IncoherentBranch(f"output {value} at {m} is not a sequence code")
-        bits = code_to_bits(value)
+        try:
+            bits = code_to_bits(value)
+        except ValueError:
+            raise IncoherentBranch(f"output {value} at {m} is not a sequence code") from None
         if len(bits) != m:
             raise IncoherentBranch(f"asked for length {m}, got length {len(bits)}")
         for m2, bits2 in self._outputs.items():
@@ -306,7 +305,6 @@ __all__ = [
     "format_bits",
     "full_scan_count",
     "full_tree",
-    "is_canonical_bits_code",
     "kleene_tree",
     "level_census",
     "levels",

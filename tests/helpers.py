@@ -135,7 +135,7 @@ def reference_extract_bound(realizer, *, n_max: int = 16) -> UniformBound:
         candidates = plain_uncovered(members, n)
         stage_commits: list[Bits] = []
         for bits in candidates:
-            path = PathOracle.zero_extended(bits)
+            path = PathOracle(bits)
             try:
                 prefix, _use = apply_realizer_to_path(realizer, path)
             except RealizerFailed as exc:

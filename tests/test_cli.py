@@ -422,7 +422,9 @@ def test_census_and_wwkl_take_no_node(capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--tree", "zeros", "--node", "1"])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --node 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: fanlab {command} [-h] ")
+        assert "unrecognized arguments: --node 1" in err
 
 
 # Each sub-command and check suite: the options its --help lists, beside --help.
@@ -475,6 +477,26 @@ def test_check_usage_shows_that_options_follow_the_suite(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: fanlab check SUITE [--OPTION N ...]\n")
     assert "argument suite: invalid choice" in err
+
+
+CHECK_USAGE = "usage: fanlab check SUITE [--OPTION N ...]\n"
+# argv: the start of the usage it shows, and the arguments it names as unrecognized
+UNRECOGNIZED = {
+    ("check", "--trials=3", "persistence"): (CHECK_USAGE, "--trials=3"),
+    ("check", "persistence", "--bogus=3"): (CHECK_USAGE, "--bogus=3"),
+    ("eval", "76", "0", "--bogus=1"): ("usage: fanlab eval [-h] ", "--bogus=1"),
+}
+
+
+@pytest.mark.parametrize("argv", list(UNRECOGNIZED), ids=" ".join)
+def test_unrecognized_options_show_their_commands_usage(argv, capsys):
+    """argparse hands an option no parser knows back to the top parser; the
+    command's own parser reports it, so the usage shown is the command's."""
+    usage, stray = UNRECOGNIZED[argv]
+    assert _exit_status(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert f": error: unrecognized arguments: {stray}\n" in err
 
 
 def test_check_suites_pass():
@@ -631,6 +653,7 @@ def fuzz_vocabulary(tmp_path_factory) -> tuple[list[str], dict[str, list[str]]]:
         f"decider {tmp / 'missing.asm'}", "decider",
         "depth 2", "depth x", "depth ²", f"table {table}", f"table {bad_table}", "table",
         "persistence", "lemma1", "extraction", "census",
+        "170141183460469231759357419826448433154",  # pair(2**64, 1): no list holds 2^64
     ]
     first_bit = str(ASM_DIR / "first_bit.asm")
     baseline = {

@@ -23,7 +23,6 @@ from fanlab.fan import (
     extract_bound,
     first_bit_split_program,
     load_constant_block,
-    prefix_hit_bar,
     random_bar_table,
     table_bar,
     take_prefix_program,
@@ -67,7 +66,7 @@ SPLIT = encode_program(first_bit_split_program())
 # Path oracle and routing
 
 def test_path_oracle_reads_and_use():
-    path = PathOracle.zero_extended((1, 0, 1))
+    path = PathOracle((1, 0, 1))
     assert [path.read(j) for j in range(5)] == [1, 0, 1, 0, 0]
     assert path.head == (1, 0, 1)  # reading leaves the path as it was
     assert apply_realizer_to_path(BarRealizer(EMPTY_REALIZER), path) == ((), 0)
@@ -78,7 +77,7 @@ def test_output_check_reads_no_path_bit():
     """A realizer that reads nothing and answers 11: the output is checked
     against two positions of the path, and its use stays 0."""
     ones = encode_program(load_constant_block(bits_to_code((1, 1)), 0))
-    path = PathOracle.zero_extended((1, 1))
+    path = PathOracle((1, 1))
     assert apply_realizer_to_path(BarRealizer(ones), path) == ((1, 1), 0)
 
 
@@ -87,13 +86,13 @@ def test_use_is_one_past_largest_position():
     q3, q0 = pair(PATH_SLICE, 3), pair(PATH_SLICE, 0)
     program = (*[Inc(1)] * q3, Query(1, 2), *[Inc(3)] * q0, Query(3, 2))
     bits, use = apply_realizer_to_path(BarRealizer(encode_program(program)),
-                                       PathOracle.zero_extended((0, 1, 0, 1)))
+                                       PathOracle((0, 1, 0, 1)))
     assert (bits, use) == ((), 4)
 
 
 def test_routed_oracle_splits_channels():
     base = table_oracle({5: Answer.YES}, default=Answer.BLOCKED)
-    path = PathOracle.zero_extended((1,))
+    path = PathOracle((1,))
     routed = RoutedOracle(base, path)
     assert routed.answer(pair(PATH_SLICE, 0)) == Answer.YES
     assert routed.answer(pair(PATH_SLICE, 1)) == Answer.NO
@@ -117,7 +116,7 @@ def test_bar_realizer_rejects_a_node_that_reaches_the_path_slice():
     # still answers on its own slice.
     realizer = BarRealizer(SPLIT, node_oracle(family, (0,) * PATH_SLICE))
     assert extract_bound(realizer).n == 2
-    routed = RoutedOracle(realizer.base_oracle, PathOracle.zero_extended((1,)))
+    routed = RoutedOracle(realizer.base_oracle, PathOracle((1,)))
     assert routed.answer(pair(PATH_SLICE - 1, 0)) == Answer.YES
     assert routed.answer(pair(PATH_SLICE, 0)) == Answer.YES
     assert routed.answer(pair(PATH_SLICE, 1)) == Answer.NO
@@ -128,7 +127,7 @@ def test_bar_realizer_rejects_a_node_that_reaches_the_path_slice():
 
 def test_take_prefix_realizer():
     bits, use = apply_realizer_to_path(
-        BarRealizer(TAKE3), PathOracle.zero_extended((1, 0, 1))
+        BarRealizer(TAKE3), PathOracle((1, 0, 1))
     )
     assert bits == (1, 0, 1)
     assert use == 3
@@ -136,7 +135,7 @@ def test_take_prefix_realizer():
 
 def test_empty_realizer():
     bits, use = apply_realizer_to_path(
-        BarRealizer(EMPTY_REALIZER), PathOracle.zero_extended(())
+        BarRealizer(EMPTY_REALIZER), PathOracle(())
     )
     assert bits == () and use == 0
 
@@ -145,7 +144,7 @@ def test_non_prefix_output_is_invalid():
     # Always returns the code of 11, wrong on an all-zeros path.
     ones = encode_program(tuple(Inc(0) for _ in range(bits_to_code((1, 1)))))
     with pytest.raises(RealizerFailed) as info:
-        apply_realizer_to_path(BarRealizer(ones), PathOracle.zero_extended(()))
+        apply_realizer_to_path(BarRealizer(ones), PathOracle(()))
     assert info.value.reason == "invalid realizer output (1, 1) differs from the path at position 0"
     assert info.value.steps == bits_to_code((1, 1))
 
@@ -156,7 +155,7 @@ def test_invalid_output_names_the_first_differing_position(head, out, j):
     """The head, then zeros: positions past the head compare with 0."""
     code = encode_program(load_constant_block(bits_to_code(out), 0))
     with pytest.raises(RealizerFailed) as info:
-        apply_realizer_to_path(BarRealizer(code), PathOracle.zero_extended(head))
+        apply_realizer_to_path(BarRealizer(code), PathOracle(head))
     reason = f"invalid realizer output {out} differs from the path at position {j}"
     assert info.value.reason == str(info.value) == reason
 
@@ -165,7 +164,7 @@ def test_non_sequence_output_is_invalid():
     bad_code = pair(1, 5)  # length 1, value 5: not canonical
     bad = encode_program(tuple(Inc(0) for _ in range(bad_code)))
     with pytest.raises(RealizerFailed) as info:
-        apply_realizer_to_path(BarRealizer(bad), PathOracle.zero_extended((1,)))
+        apply_realizer_to_path(BarRealizer(bad), PathOracle((1,)))
     assert info.value.reason == "invalid realizer output 26 is not a sequence code"
     assert info.value.steps == 26
 
@@ -173,29 +172,29 @@ def test_non_sequence_output_is_invalid():
 def test_node_queries_propagate_blocked():
     asks_base = encode_program((Query(1, 0),))  # query 0 goes to the base oracle
     with pytest.raises(RealizerFailed) as info:
-        apply_realizer_to_path(BarRealizer(asks_base), PathOracle.zero_extended(()))
+        apply_realizer_to_path(BarRealizer(asks_base), PathOracle(()))
     assert (info.value.reason, info.value.steps) == ("realizer blocked query 0", 1)
 
 
 def test_realizer_fuel_exhaustion():
     loop = encode_program((Jmp(0),))
     with pytest.raises(RealizerFailed) as info:
-        apply_realizer_to_path(BarRealizer(loop, fuel=100), PathOracle.zero_extended(()))
+        apply_realizer_to_path(BarRealizer(loop, fuel=100), PathOracle(()))
     assert (info.value.reason, info.value.steps) == ("realizer fuel", 100)
 
 
 def test_split_realizer_on_both_heads():
-    bits, use = apply_realizer_to_path(BarRealizer(SPLIT), PathOracle.zero_extended((0,)))
+    bits, use = apply_realizer_to_path(BarRealizer(SPLIT), PathOracle((0,)))
     assert bits == (0,) and use == 1
-    bits, use = apply_realizer_to_path(BarRealizer(SPLIT), PathOracle.zero_extended((1,)))
+    bits, use = apply_realizer_to_path(BarRealizer(SPLIT), PathOracle((1,)))
     assert bits == (1, 0) and use == 2
-    bits, _ = apply_realizer_to_path(BarRealizer(SPLIT), PathOracle.zero_extended((1, 1)))
+    bits, _ = apply_realizer_to_path(BarRealizer(SPLIT), PathOracle((1, 1)))
     assert bits == (1, 1)
 
 
 def assert_use_matches_reference(realizer, heads):
     for head in heads:
-        got = apply_realizer_to_path(realizer, PathOracle.zero_extended(head))
+        got = apply_realizer_to_path(realizer, PathOracle(head))
         assert got == reference_apply_realizer_to_path(realizer, head), head
 
 
@@ -208,7 +207,7 @@ def test_use_matches_the_reference_on_take_prefix_realizers():
     for k in range(1, 9):
         realizer = BarRealizer(encode_program(take_prefix_program(k)))
         assert_use_matches_reference(realizer, heads_up_to(9))
-        assert apply_realizer_to_path(realizer, PathOracle.zero_extended((1,) * 9))[1] == k
+        assert apply_realizer_to_path(realizer, PathOracle((1,) * 9))[1] == k
 
 
 def test_use_matches_the_reference_on_first_zero():
@@ -233,7 +232,7 @@ def test_use_counts_only_path_queries():
     program = (*[Inc(1)] * 36, Query(1, 2), *[Inc(1)] * 18, Query(1, 2))
     realizer = BarRealizer(encode_program(program), table_oracle({54: Answer.YES}))
     assert_use_matches_reference(realizer, [(0,), (1,)])
-    assert apply_realizer_to_path(realizer, PathOracle.zero_extended((1,))) == ((), 1)
+    assert apply_realizer_to_path(realizer, PathOracle((1,))) == ((), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +448,21 @@ def test_extracted_bounds_verify_against_their_outputs():
     for code, expected in ((EMPTY_REALIZER, 0), (TAKE3, 3), (SPLIT, 2)):
         bound = extract_bound(BarRealizer(code))
         assert bound.n == expected
-        bar = prefix_hit_bar(bound.realizer_outputs)
-        assert verify_uniform_bound(bar, bound.n)
+        assert verify_uniform_bound(table_bar(bound.realizer_outputs), bound.n)
+
+
+def test_table_bar_verifies_as_its_upward_closure():
+    """verify_uniform_bound tests every prefix of every sequence, so a table
+    and its upward closure give the same verdict at every depth, whether or
+    not the table covers every path."""
+    tables = list(covering_tables(3))
+    assert len(tables) == 26
+    for table in tables + [table[1:] for table in tables]:
+        members = frozenset(table)
+        for n in range(5):
+            closed = verify_uniform_bound(
+                lambda bits: any(bits[:k] in members for k in range(len(bits) + 1)), n)
+            assert verify_uniform_bound(table_bar(table), n) == closed, (table, n)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +472,7 @@ def test_compiled_table_walks_to_its_element():
     table = frozenset({(0,), (1, 0), (1, 1)})
     code = encode_program(compile_bar_table(table))
     for head, want in (((0, 1), (0,)), ((1, 0), (1, 0)), ((1, 1), (1, 1))):
-        bits, _ = apply_realizer_to_path(BarRealizer(code), PathOracle.zero_extended(head))
+        bits, _ = apply_realizer_to_path(BarRealizer(code), PathOracle(head))
         assert bits == want
 
 
@@ -497,7 +509,7 @@ def test_random_tables_return_the_element_on_every_path(rng):
             realizer = BarRealizer(encode_program(compile_bar_table(table)))
             for head in product((0, 1), repeat=depth):
                 want = next(b for b in table if head[:len(b)] == b)
-                got = apply_realizer_to_path(realizer, PathOracle.zero_extended(head))
+                got = apply_realizer_to_path(realizer, PathOracle(head))
                 assert got == (want, len(want)), (table, head)
 
 
@@ -564,5 +576,5 @@ def test_deep_table_extracts_at_default_fuel(depth):
     bound = extract_bound(realizer)
     assert bound.n == depth
     assert verify_uniform_bound(table_bar(comb), bound.n)
-    got = apply_realizer_to_path(realizer, PathOracle.zero_extended((1,) * depth))
+    got = apply_realizer_to_path(realizer, PathOracle((1,) * depth))
     assert got == ((1,) * depth, depth)

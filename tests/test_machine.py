@@ -6,6 +6,7 @@ import gc
 import pickle
 import random
 import re
+import sys
 from math import isqrt
 
 import pytest
@@ -79,6 +80,7 @@ def test_unpair_inverts_pair(a, b):
 def test_pair_inverts_unpair(q):
     a, b = unpair(q)
     assert pair(a, b) == q
+    assert machine._split(q) == (a, b)
 
 
 def test_unpair_and_the_wide_split_invert_pair_on_wide_arguments(rng):
@@ -195,6 +197,13 @@ def test_encode_instruction_rejects_negative_fields(ins):
 def test_decode_program_rejects_a_negative_code(code):
     with pytest.raises(ValueError, match=f"not a program code: {code}$"):
         decode_program(code)
+
+
+def test_decode_program_refuses_a_count_no_list_holds():
+    """Unrefused, listing its instructions raised OverflowError."""
+    too_many = sys.maxsize + 1
+    with pytest.raises(machine.ProgramTooLong, match=f"^a program of {too_many} instructions "):
+        decode_program(pair(too_many, 1))
 
 
 @pytest.mark.parametrize("code", [-1, -3])
@@ -617,7 +626,7 @@ def test_decider_partial_propagates_from_block_code(generated):
     code = encode_program(QUERY_LOOP)
     run_until_hot(code, 100)
     spin = encode_program((Jmp(0),))
-    family = (GroundReal(pattern=(1, 0)), GroundReal(decider=spin, fuel=50))
+    family = (GroundReal(pattern=(1, 0)), GroundReal(decider=spin))
     oracle = node_oracle(family, (0, 0))
     with pytest.raises(DeciderPartial):
         run(code, 10, oracle)  # query 1 is pair(1, 0), in the decider's slice
@@ -709,10 +718,10 @@ VALUES = [
     (lambda: OutOfFuel(), (), "OutOfFuel()"),
     (lambda: RunResult(Converged(3), 5, QueryTrace()), ("outcome", "steps", "trace"),
      "RunResult(outcome=Converged(value=3), steps=5, trace=QueryTrace(queries=(), answers=b''))"),
-    (lambda: GroundReal(pattern=(1, 0)), ("pattern", "decider", "fuel"),
-     "GroundReal(pattern=(1, 0), decider=None, fuel=100000)"),
+    (lambda: GroundReal(pattern=(1, 0)), ("pattern", "decider"),
+     "GroundReal(pattern=(1, 0), decider=None)"),
     (lambda: node_oracle((ONES,), (2,)), ("family", "node"),
-     "LayeredOracle(family=(GroundReal(pattern=(1,), decider=None, fuel=100000),), node=(2,))"),
+     "LayeredOracle(family=(GroundReal(pattern=(1,), decider=None),), node=(2,))"),
     (lambda: ROW, ("input", "outcome", "slices", "trace"),
      r"SliceAccessRow(input=0, outcome=Converged(value=1), slices=frozenset({0}), "
      r"trace=QueryTrace(queries=(0,), answers=b'\x01'))"),

@@ -34,7 +34,6 @@ from fanlab.trees import (
     format_bits,
     full_scan_count,
     full_tree,
-    is_canonical_bits_code,
     kleene_tree,
     level_census,
     levels,
@@ -63,9 +62,9 @@ def test_bits_roundtrip(bits):
     assert code_to_bits(bits_to_code(bits)) == bits
 
 
-def test_canonical_code_check():
-    assert is_canonical_bits_code(bits_to_code((0, 1, 1)))
-    assert not is_canonical_bits_code(pair(1, 5))  # value 5 needs 3 bits, length says 1
+def test_code_to_bits_refuses_a_code_that_names_no_sequence():
+    with pytest.raises(ValueError, match="^26 is not a sequence code$"):
+        code_to_bits(pair(1, 5))  # value 5 needs 3 bits, length says 1
 
 
 def test_bits_text_roundtrip():
@@ -447,5 +446,5 @@ def test_branch_chain_break_raises():
 
 def test_branch_non_canonical_output_raises():
     loop = encode_program(branch_program([pair(1, 5)]))  # not a sequence code
-    with pytest.raises(IncoherentBranch):
+    with pytest.raises(IncoherentBranch, match="^output 26 at 0 is not a sequence code$"):
         BranchDecider(loop).contains(())
