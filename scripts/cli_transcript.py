@@ -12,6 +12,11 @@ tests/test_cli_transcript.py replays every record and needs the same bytes.
 A change that moves CLI output on purpose rewrites the transcript:
 
     PYTHONPATH=src python3 scripts/cli_transcript.py
+
+`--check` replays the transcript instead, with the standard library alone
+(no pytest), and exits 1 after listing each record that moved:
+
+    PYTHONPATH=src python3 scripts/cli_transcript.py --check
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 from fanlab import cli
@@ -166,11 +172,29 @@ def capture(argv: list[str], seed: str | None) -> dict:
     return record
 
 
-def main() -> None:
+def check() -> int:
+    """Replay every record; list those that moved and return 1 if any did."""
+    records = json.loads(TRANSCRIPT.read_text())
+    moved = [record for record in records
+             if capture(record["argv"], record.get("seed")) != record]
+    for record in moved:
+        seed = f" FANLAB_SEED={record['seed']}" if "seed" in record else ""
+        print(f"moved:{seed} fanlab {' '.join(record['argv'])}")
+    print(f"{len(records) - len(moved)} of {len(records)} records replay unchanged")
+    return 1 if moved else 0
+
+
+def main(args: list[str]) -> int:
+    if args == ["--check"]:
+        return check()
+    if args:
+        print("usage: cli_transcript.py [--check]", file=sys.stderr)
+        return 2
     records = [capture(argv, seed) for argv, seed in commands()]
     TRANSCRIPT.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {TRANSCRIPT.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

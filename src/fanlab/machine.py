@@ -25,7 +25,10 @@ trace)``, the trace being the answered queries in order and one answer bit
 each; ``trace.entries`` views them as ``(query, answer)`` pairs.  These and
 the instructions are immutable slotted values, compared and matched by field.
 
-The interpreter applies countdown cycles
+The interpreter adds a run of k consecutive INCs of one register in one
+dispatch charged k steps; a budget that ends inside the run ends the run
+there, and a jump into its middle steps the rest one INC at a time.  It
+applies countdown cycles
 ``h: DECJZ r x0; ...; DECJZ r x(m-1); INC a...; JMP h`` (m >= 1 tests of the
 same register r, r not among the a's, no test jumping to itself) in bulk, one
 dispatch for all their rounds, but still charges every step they stand for.
@@ -56,11 +59,12 @@ registers renumbered densely (register 0 stays 0), and keeps them in one
 cache, ``_compiled_from_code``, keyed by code.  A program that has run hot is
 compiled from those tables into one generated Python function, kept in the
 same entry.  A program turns hot once its interpreted runs together have
-taken ``1500 + 20 * n`` dispatches, n its instruction count, a plain step
-and a macro counting one each: by then the interpreter has spent about what
-generating the function costs (``run`` gives the measurements).  Deciders
-of a few dispatches a run, table realizers and the Kleene tree's programs
-stay interpreted.  The function keeps registers in locals and dispatches
+taken ``3000 + 40 * n`` dispatches, n its instruction count, a plain step,
+a run of INCs and a macro counting one each: by then the interpreter has
+lost about twice what generating the function costs (``run`` gives the
+measurements).  Deciders of a few dispatches a run, take-k and table
+realizers through a whole extraction and the Kleene tree's programs stay
+interpreted.  The function keeps registers in locals and dispatches
 only at pc 0 and jump targets; from each of those it runs straight through
 every fall-through, checks fuel once per such superblock and charges a
 macro's rounds at once.  When a superblock could pass the budget, it hands
@@ -420,6 +424,8 @@ class RunResult(_Value):
 
 
 _OP_INC, _OP_DECJZ, _OP_JMP, _OP_QUERY = range(4)  # HALT compiles to a JMP past the end
+# An INC's arg2 is how many INCs of its register run from it: k >= 2 at the
+# first INC of a run of k, 1 at every other INC.
 # Macro-ops, attached at loop heads.  Each one does the work of many
 # instructions in one dispatch and charges exactly their steps.
 # LOOP is a countdown cycle h: DECJZ r x0; ...; DECJZ r x(m-1); INC a...; JMP h.
@@ -445,10 +451,16 @@ def _compile(program: Program) -> tuple[tuple[int, ...], tuple, tuple, int]:
     arg2: list = []
     index = {0: 0}
     dense = index.setdefault
+    start = 0  # where the latest run of INCs of one register starts
     for ins in program:
         kind = type(ins)  # exact-type tests, as in encode_instruction
         if kind is Inc:
-            ops.append(_OP_INC); arg1.append(dense(ins.reg, len(index))); arg2.append(0)
+            reg = dense(ins.reg, len(index))
+            if ops and ops[-1] == _OP_INC and arg1[-1] == reg:
+                arg2[start] += 1  # the run's first INC counts the run
+            else:
+                start = len(ops)
+            ops.append(_OP_INC); arg1.append(reg); arg2.append(1)
         elif kind is Decjz:
             ops.append(_OP_DECJZ); arg1.append(dense(ins.reg, len(index)))
             arg2.append(ins.target)
@@ -519,7 +531,8 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None,
     """The single-step interpreter.  `resume` is (pc, steps, registers,
     queries, answers): the state a block function hands over when its next
     block would pass the budget.  `entry`, when given, gains the dispatches
-    this run took: one per plain step and one per macro, whatever it charged."""
+    this run took: one per plain step, run of INCs or macro, whatever it
+    charged."""
     ops, arg1, arg2, nregs = compiled
     n = len(ops)
     regs = [0] * nregs
@@ -537,9 +550,16 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None,
             break
         op = ops[pc]
         steps += 1
-        if op == _OP_INC:
-            regs[arg1[pc]] += 1
-            pc += 1
+        if op == _OP_INC:  # k INCs of one register, k steps in one dispatch
+            k = arg2[pc]
+            regs[arg1[pc]] += k
+            pc += k
+            if k != 1:
+                k -= 1
+                steps += k
+                bulk += k
+                if steps > fuel:  # the budget ends inside the run
+                    break
         elif op == _OP_DECJZ:
             r = arg1[pc]
             v = regs[r]
@@ -816,19 +836,24 @@ def run(code: int, x: int, oracle: Oracle = BLOCK_ALL, fuel: int = DEFAULT_FUEL)
         return entry.fn(x, oracle, fuel)
     res = _execute(entry.tables, x, oracle, fuel, None, entry)
     # Hotness counts dispatches: block code saves time per dispatch, not per
-    # step.  Generating a block function costs G: 0.41 ms for a 7-instruction
-    # x mod m decider, 2.0-2.4 ms for take-6..8 (196-425 instructions), 7-12 ms
-    # for 706-1,025-instruction table realizers.  The interpreter spends about
-    # 200 ns a dispatch on them, 120-150 ns of it saved by block code (Python
-    # 3.11, 2-vCPU host).  The ski-rental rule, turning hot once the
-    # interpreter has spent G, never spends more than twice the best choice in
-    # hindsight: about 2,000 dispatches for the decider, 10,000-12,000 for
-    # take-k.  1,500 + 20 * n, n the program's length, stays at or below that,
-    # so realizers, whose extraction stages double their runs, pay back sooner
-    # (3,000 + 80 * n was 15% slower on extract-take in an in-process A/B).
-    # Deciders (1-3 dispatches a run), table realizers (2,400-3,900 dispatches
+    # step.  Generating a block function costs G: 0.21 ms for a 7-instruction
+    # x mod m decider, 0.25 ms for a 9-instruction query loop, 0.93-1.07 ms
+    # for take-6..8 (196-425 instructions), 3.4-5.2 ms for 742-969-instruction
+    # table realizers, 84-97% of it in compile().  Block code saves 85 ns of
+    # the query loop's 146 ns a dispatch and 125-130 ns of take-k's 310-320
+    # (Python 3.11, 2-vCPU host), so it pays back after G / saving: about
+    # 3,000 dispatches for the query loop, 7,500-8,100 for take-6..8.  Turning
+    # hot once the interpreter has lost c times G bounds a program's cost at
+    # 1 + c times the best choice in hindsight.  3,000 + 40 * n is 1.2 times
+    # the query loop's pay-back and 1.4-2.5 times take-6..8's: it waits about
+    # 2G, for a bound of about 3x, not the 2x of waiting G.  So take-5..8
+    # extractions (1,000-12,500 dispatches, INC runs fused) stay cold, where
+    # 1,500 + 20 * n turned take-8 hot 80% of the way through and cost it 3%
+    # in an in-process A/B, while oracle-scan's query loop still turns hot in
+    # its first run (about 4,700 dispatches).
+    # Deciders (1-3 dispatches a run), table realizers (about 500 dispatches
     # an extraction) and the Kleene tree's programs stay interpreted.
-    if entry.dispatches >= 1_500 + 20 * len(entry.tables[0]):
+    if entry.dispatches >= 3_000 + 40 * len(entry.tables[0]):
         entry.fn = _generate(entry.tables)
     return res
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanlab import cli
+from fanlab import cli, trees
 from fanlab.cli import (
     AsmError,
     default_family,
@@ -24,7 +24,10 @@ from fanlab.cli import (
 )
 from fanlab.fan import first_bit_split_program, take_prefix_program
 from fanlab.machine import (
+    BLOCK_ALL,
+    Answer,
     Decjz,
+    FnOracle,
     Halt,
     Inc,
     Jmp,
@@ -552,6 +555,41 @@ def test_check_lemma1_counts_starved_probes_as_failures():
     # At fuel 0 no probe settles: each of the 4 * 341 runs out of fuel.
     assert run_cli("check", "lemma1", "--fuel", "0") == (
         1, ["slice-gate fail nodes 341 k-max 3 failures 1364"])
+
+
+# Failing verdicts: each fault is planted, and the command must print its
+# `fail` line and exit 1.
+
+def test_kleene_witness_outside_the_tree_fails(monkeypatch):
+    """{0}(0) halts at once with 0, so a witness starting with 0 leaves the
+    Kleene tree at level 1."""
+    real = trees.SettleTable.witness
+    monkeypatch.setattr(trees.SettleTable, "witness",
+                        lambda self, n: (0, *real(self, n)[1:]))
+    witness = trees.SettleTable(BLOCK_ALL).witness(14)
+    assert witness[0] == 0 and not trees.kleene_tree().contains(witness)
+    code, lines = run_cli("kleene", "--depth", "14")
+    assert code == 1
+    assert lines[-2:] == [f"witness {trees.format_bits(witness)}", "witness-check fail"]
+
+
+def test_check_persistence_fails_on_an_oracle_that_changes_below_a_node(monkeypatch):
+    """Answers that flip with the node's length: a run that asks a query
+    and converges at a node gives another value at its child."""
+    monkeypatch.setattr(cli, "node_oracle", lambda family, node: FnOracle(
+        lambda q: Answer.YES if len(node) % 2 else Answer.NO))
+    code, lines = run_cli("check", "persistence", "--trials", "200")
+    assert code == 1
+    assert len(lines) == 1
+    assert re.fullmatch(r"persistence fail trials 200 failures [1-9][0-9]*", lines[0])
+
+
+def test_check_census_fails_when_the_census_differs_from_the_scan(monkeypatch):
+    real = trees.level_census
+    monkeypatch.setattr(trees, "level_census",
+                        lambda tree, n_max: (*real(tree, n_max)[:-1], real(tree, n_max)[-1] + 1))
+    assert run_cli("check", "census", "--depth", "3") == (
+        1, ["census fail trees 4 depth 3 failures 4"])
 
 
 def test_check_defaults_do_not_leak_between_calls():

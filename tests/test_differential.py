@@ -1,10 +1,11 @@
 """Differential test: the machine against a plain reference interpreter.
 
-`run` compiles loops into macro-ops that charge many steps in one dispatch,
-and hot programs into generated block functions.  Here the whole `RunResult`
-(outcome, steps, trace) of both paths must equal that of a
-one-instruction-per-step interpreter over Instruction tuples, on random
-programs, on loop-shaped ones and on the blocks that load constants in table
+`run` compiles loops into macro-ops and runs of one register's INCs into
+single dispatches, each charging many steps, and hot programs into generated
+block functions.  Here the whole `RunResult` (outcome, steps, trace) of both
+paths must equal that of a one-instruction-per-step interpreter over
+Instruction tuples, on random programs, on loop-shaped ones, on runs of INCs
+entered at each position and on the blocks that load constants in table
 realizers, at every fuel from 0 to two past the settle point.  The block
 function is generated directly, whatever the program's hotness.
 """
@@ -18,12 +19,15 @@ from pathlib import Path
 
 from fanlab import machine
 from fanlab.cli import parse_assembly
-from fanlab.fan import load_constant_block, take_prefix_program
+from fanlab.fan import (
+    EXTRACTION_FUEL, PathOracle, RoutedOracle, load_constant_block, take_prefix_program,
+)
 from fanlab.machine import (
-    HALT, Answer, Blocked, Converged, Decjz, FnOracle, Inc, Instruction, Jmp, Oracle,
+    BLOCK_ALL, HALT, Answer, Blocked, Converged, Decjz, FnOracle, Inc, Instruction, Jmp, Oracle,
     OutOfFuel, Program, Query, QueryTrace, RunResult, encode_program, random_program,
     run,
 )
+from fanlab.trees import bits_to_code
 
 from helpers import mod_decider_program
 
@@ -410,3 +414,58 @@ def test_near_miss_series_stay_decjz_and_loops():
         assert ops[h] == machine._OP_DECJZ and ops.count(machine._OP_LOOP) == 5, program
         for x in range(4):
             assert_same_at_every_fuel(program, x)
+
+
+# Runs of INCs of one register.  `_compile` counts a run of k INCs in the
+# table slot of its first INC, every other INC holding 1, and the interpreter
+# adds the k in one dispatch that charges k steps.  Each run below is 1-6
+# INCs of r0 and r1, of one register or alternating; a DECJZ or a JMP before
+# it lands on each of its positions; and it ends the program, or a QUERY
+# follows it, alone or before a test that jumps back to the start.
+
+def inc_runs():
+    for k in range(1, 7):
+        same = {(a,) * k for a in (0, 1)}
+        alternating = {tuple((a + i) % 2 for i in range(k)) for a in (0, 1)}
+        yield from sorted(same | alternating)
+
+
+def inc_run_programs():
+    for regs in inc_runs():
+        k = len(regs)
+        for p in range(k):
+            for jump in (Decjz(0, 1 + p), Jmp(1 + p)):
+                for after in ((), (Query(0, 2),), (Query(0, 2), Decjz(2, k + 4), Jmp(0))):
+                    yield (jump, *(Inc(a) for a in regs), *after)
+
+
+def test_inc_runs_are_counted_at_their_first_inc():
+    program = (Inc(0), Inc(0), Inc(1), Inc(1), Inc(1), Jmp(0), Inc(0), Inc(1), Inc(0), HALT)
+    ops, _, arg2, _ = machine._compile(program)
+    assert ops[:5] == (machine._OP_INC,) * 5 and ops[6:9] == (machine._OP_INC,) * 3
+    assert arg2[:5] == (2, 1, 3, 1, 1) and arg2[6:9] == (1, 1, 1)
+
+
+def test_inc_runs_match_reference_at_every_fuel():
+    """`run`, the interpreter and the block function against the reference,
+    on inputs 0-2 and at every fuel up to two past the settle point."""
+    programs = 0
+    for program in inc_run_programs():
+        for x in range(3):
+            assert_same_at_every_fuel(program, x)
+        programs += 1
+    assert programs == 2 * 3 * (2 * 1 + 4 * (2 + 3 + 4 + 5 + 6))  # jumps, ends, k per run
+
+
+def test_take_8_climbs_the_path_in_a_few_dispatches():
+    """take-8 reaches each path query through a run of INCs: on the path 1^8
+    its 348,566 steps are 37 dispatches, on 0^8 its 491 steps 29."""
+    program = take_prefix_program(8)
+    tables = machine._compile(program)
+    for head, steps, dispatches in (((1,) * 8, 348_566, 37), ((0,) * 8, 491, 29)):
+        oracle = RoutedOracle(BLOCK_ALL, PathOracle(head))
+        entry = machine._Entry(tables)
+        res = machine._execute(tables, 0, oracle, EXTRACTION_FUEL, None, entry)
+        assert res == reference_run(program, 0, oracle, EXTRACTION_FUEL)
+        assert (res.steps, entry.dispatches) == (steps, dispatches)
+        assert res.outcome == Converged(bits_to_code(head))

@@ -104,6 +104,14 @@ def test_layered_answer_examples():
     assert layered_answer((EVENS,), (1,), pair(0, 0)) == Answer.NO
 
 
+def test_layered_answer_refuses_a_node_longer_than_its_family():
+    """Slice 1 is fixed by the node but the family has one real: no answer
+    can be made up, so it is an error, not Blocked."""
+    assert layered_answer((EVENS,), (0, 0), pair(0, 2)) == Answer.YES
+    with pytest.raises(ValueError, match=r"family has no slice 1 but node \(0, 0\) fixes it"):
+        layered_answer((EVENS,), (0, 0), pair(1, 2))
+
+
 def test_root_blocks_everything():
     for q in range(200):
         assert layered_answer(FAMILY, (), q) == Answer.BLOCKED

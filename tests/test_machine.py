@@ -271,6 +271,12 @@ def test_halt_compiles_to_a_jump_past_the_end():
     assert machine._compile((Inc(0), Halt())) == machine._compile((Inc(0), Jmp(2)))
 
 
+@pytest.mark.parametrize("junk", [None, (0,), "INC r0", Halt])
+def test_compile_rejects_non_instructions(junk):
+    with pytest.raises(TypeError, match="not an instruction"):
+        machine._compile((Inc(0), Inc(0), junk))
+
+
 def test_fuel_edges():
     e = encode_program((Halt(),))
     r = run(e, 5, BLOCK_ALL, 1)
@@ -665,8 +671,9 @@ def test_cold_programs_stay_interpreted(generated, capsys):
 
 
 def test_table_realizer_stays_cold_through_an_extraction(generated):
-    """A depth-5 table realizer dispatches a few thousand times in a whole
-    extraction, far below the 1,500 + 20 per instruction of turning hot."""
+    """A depth-5 table realizer dispatches a few hundred times in a whole
+    extraction, far below the 3,000 + 40 per instruction of turning hot:
+    most of its steps are runs of INCs of one register, one dispatch each."""
     from fanlab import fan
 
     rng = random.Random(2)
@@ -677,7 +684,7 @@ def test_table_realizer_stays_cold_through_an_extraction(generated):
     assert fan.extract_bound(fan.BarRealizer(code)).n == 5
     entry = machine._compiled_from_code(code)
     assert entry.fn is None and generated == []
-    assert 2_000 < entry.dispatches < 4_000
+    assert 300 < entry.dispatches < 1_000
 
 
 def test_mod_decider_stays_cold_over_a_thousand_runs(generated):
