@@ -48,7 +48,6 @@ from .trees import (
     kleene_tree,
     level_census,
     levels,
-    measure_upper,
     wwkl_witness,
 )
 from .fan import (

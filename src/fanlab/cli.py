@@ -589,6 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     suites = p.add_subparsers(dest="suite", required=True, prog=p.prog)
     for name in sorted(_SUITES):  # the order argparse lists them in
         q = suites.add_parser(name)
+        q.set_defaults(parser=q)
         for option, default in _SUITES[name][1].items():
             q.add_argument(f"--{option}", type=_natural, default=default,
                            help="default: %(default)s")

@@ -17,7 +17,7 @@ from one run per e < n_max and one counting pass.
 from __future__ import annotations
 
 from itertools import accumulate, product
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from .machine import (
     BLOCK_ALL,
@@ -33,9 +33,6 @@ from .machine import (
     unpair,
 )
 from .machine import _set, _Value
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 Bits = tuple[int, ...]
 
@@ -213,13 +210,6 @@ def level_census(tree: DecidableTree, n_max: int) -> tuple[int, ...]:
     return tuple(len(front) for _, front in levels(tree, n_max))
 
 
-def measure_upper(tree: DecidableTree, n: int) -> Fraction:
-    """Exact fraction of level n inside the tree; an upper bound on the
-    measure of the set of paths, which WWKL's hypothesis asks to be positive."""
-    from fractions import Fraction  # on call: no command needs it, and it imports decimal
-    return Fraction(level_census(tree, n)[n], 1 << n)
-
-
 def wwkl_witness(tree: DecidableTree, n_max: int) -> int | None:
     """Least level where at least half the sequences are outside the tree."""
     if tree.census is not None:
@@ -308,7 +298,6 @@ __all__ = [
     "kleene_tree",
     "level_census",
     "levels",
-    "measure_upper",
     "parse_bits",
     "wwkl_witness",
     "zeros_tree",

@@ -5,6 +5,8 @@ import contextlib
 import os
 import random
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +40,7 @@ from fanlab.machine import (
 
 
 ASM_DIR = Path(__file__).resolve().parents[1] / "scripts" / "asm"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv: str) -> tuple[int, list[str]]:
@@ -180,6 +183,16 @@ def test_codes_past_the_digit_limit(command, tmp_path, capsys):
         assert run_cli("extract-bound", "--realizer", str(f)) == (0, lines)
     assert "Traceback" not in capsys.readouterr().err
     assert digit_limit() == limit
+
+
+def test_no_digit_limit_to_lift(monkeypatch):
+    """Python 3.10.0 to 3.10.6 has no int/str digit limit: the CLI runs as
+    it is and sets none."""
+    sets = []
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", sets.append, raising=False)
+    assert run_cli("decode", "76") == (0, ["code 76", "0: HALT"])
+    assert sets == []
 
 
 def test_eval_record_format(tmp_path):
@@ -482,11 +495,14 @@ def test_check_usage_shows_that_options_follow_the_suite(capsys):
     assert "argument suite: invalid choice" in err
 
 
-CHECK_USAGE = "usage: fanlab check SUITE [--OPTION N ...]\n"
+PERSISTENCE_USAGE = "usage: fanlab check persistence [-h] [--trials TRIALS] [--fuel FUEL]\n"
 # argv: the start of the usage it shows, and the arguments it names as unrecognized
 UNRECOGNIZED = {
-    ("check", "--trials=3", "persistence"): (CHECK_USAGE, "--trials=3"),
-    ("check", "persistence", "--bogus=3"): (CHECK_USAGE, "--bogus=3"),
+    ("check", "--trials=3", "persistence"): (PERSISTENCE_USAGE, "--trials=3"),
+    ("check", "persistence", "--bogus=3"): (PERSISTENCE_USAGE, "--bogus=3"),
+    ("check", "persistence", "--bogus", "3"): (PERSISTENCE_USAGE, "--bogus 3"),
+    ("check", "kleene", "--trials", "3"): ("usage: fanlab check kleene [-h] [--depth DEPTH]\n",
+                                           "--trials 3"),
     ("eval", "76", "0", "--bogus=1"): ("usage: fanlab eval [-h] ", "--bogus=1"),
 }
 
@@ -494,7 +510,8 @@ UNRECOGNIZED = {
 @pytest.mark.parametrize("argv", list(UNRECOGNIZED), ids=" ".join)
 def test_unrecognized_options_show_their_commands_usage(argv, capsys):
     """argparse hands an option no parser knows back to the top parser; the
-    command's own parser reports it, so the usage shown is the command's."""
+    command's own parser, or under `check` the suite's, reports it, so the
+    usage shown lists the options that command or suite takes."""
     usage, stray = UNRECOGNIZED[argv]
     assert _exit_status(argv) == 2
     err = capsys.readouterr().err
@@ -762,3 +779,54 @@ def test_cli_hand_parsed_slots_take_every_vocabulary_value(fuzz_vocabulary, comm
                 status = exc.code
         assert status in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue(), argv
+
+
+# ---------------------------------------------------------------------------
+# README sessions
+
+def _uncommented(line: str) -> str:
+    """A README line without its trailing `# ...` comment."""
+    return re.sub(r"\s+#.*", "", line)
+
+
+def _readme_sessions() -> list[tuple[str, list[str]]]:
+    """Each `$ fanlab ...` command of README's sh blocks, with the lines shown
+    under it up to the next `$` line or the end of the block."""
+    sessions, shown, in_sh = [], None, False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh, shown = line == "```sh", None
+        elif in_sh and line.startswith("$ "):
+            shown = []
+            if line.startswith("$ fanlab "):
+                sessions.append((_uncommented(line[2:]), shown))
+        elif shown is not None:
+            shown.append(line)
+    return sessions
+
+
+README_SESSIONS = _readme_sessions()
+
+
+def test_readme_shows_sixteen_sessions():
+    assert len(README_SESSIONS) == 16
+
+
+@pytest.mark.parametrize("command,shown", README_SESSIONS, ids=[c for c, _ in README_SESSIONS])
+def test_readme_session(command, shown, tmp_path, monkeypatch):
+    """The lines README shows appear in order in the command's stdout and
+    stderr: `...` elides lines, a trailing `# ...` is a comment, and the
+    `# wall-time` line is skipped.  The sessions run where `scripts/asm`
+    and the `loop.asm` the census session names are found."""
+    shutil.copytree(ASM_DIR, tmp_path / "scripts" / "asm")
+    (tmp_path / "loop.asm").write_text("loop: JMP loop\n")
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(command)
+    assert argv[0] == "fanlab"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        main(argv[1:])
+    expected = [line if line.startswith("#") else _uncommented(line)
+                for line in shown if line != "..." and not line.startswith("# wall-time")]
+    rest = iter(out.getvalue().splitlines())
+    assert all(line in rest for line in expected), out.getvalue()

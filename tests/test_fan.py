@@ -484,13 +484,15 @@ def test_compile_rejects_non_covering_table():
 
 
 def test_random_tables_cover_and_extract_soundly(rng):
-    for _ in range(40):
-        table = random_bar_table(rng, depth=4)
-        assert all(len(b) <= 4 for b in table)
-        code = encode_program(compile_bar_table(table))
-        bound = extract_bound(BarRealizer(code))
-        assert bound.realizer_outputs <= table
-        assert verify_uniform_bound(table_bar(table), bound.n)
+    # Depth 5 too: its leaf codes range up to pair(5, 31) = 697, past pair(4, 15) = 205.
+    for depth, count in ((4, 40), (5, 6)):
+        for _ in range(count):
+            table = random_bar_table(rng, depth=depth)
+            assert all(len(b) <= depth for b in table)
+            code = encode_program(compile_bar_table(table))
+            bound = extract_bound(BarRealizer(code))
+            assert bound.realizer_outputs <= table
+            assert verify_uniform_bound(table_bar(table), bound.n)
 
 
 def test_random_table_is_prefix_free(rng):

@@ -4,7 +4,6 @@ import contextlib
 import io
 import time
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,7 +36,6 @@ from fanlab.trees import (
     kleene_tree,
     level_census,
     levels,
-    measure_upper,
     parse_bits,
     wwkl_witness,
     zeros_tree,
@@ -262,11 +260,22 @@ def test_settle_table_converges_within_its_exact_step(order):
 
 
 def test_kleene_level_200_pin():
+    """Level 200 of the plain tree, read from the settle table in well under
+    a second.  A position is free to vary iff its self-run does not converge
+    within 200 steps: the 16 free positions give the census's 2^16, and the
+    first, 13, is why the width first doubles at level 14.  The deepest
+    position, 199, is forced, and every member carries a 0 there."""
     started = time.perf_counter()
     table = SettleTable(BLOCK_ALL)
     assert level_census(table.tree(), 200)[200] == 65536
     assert table.tree().contains(table.witness(200))
     assert time.perf_counter() - started < 1.0
+    free = [p for p in range(200) if table.value_within(p, 200) is None]
+    assert free == [13, 19, 34, 42, 51, 75, 88, 89, 101, 102, 116, 118, 133, 150, 187, 188]
+    assert 1 << len(free) == 65536
+    assert table.census(14)[12:] == (1, 1, 2)
+    assert table.value_within(199, 200) is not None
+    assert table.witness(200)[199] == 0
 
 
 def _payload(*argv: str) -> list[str]:
@@ -301,11 +310,11 @@ def test_kleene_census_and_wwkl_cli_match_scan(spec):
 
 
 # ---------------------------------------------------------------------------
-# Censuses and measures
+# Censuses
 
 def test_level_counts_for_reference_trees():
-    assert level_census(full_tree(), 5)[5] == 32
-    assert level_census(zeros_tree(), 7)[7] == 1
+    assert level_census(full_tree(), 7) == tuple(1 << n for n in range(8))
+    assert level_census(zeros_tree(), 7) == (1,) * 8
     assert level_census(kleene_tree(), 8)[8] == 1  # regression value
     assert level_census(at_most_ones_tree(1), 6) == (1, 2, 3, 4, 5, 6, 7)
 
@@ -317,10 +326,13 @@ def test_frontier_matches_full_scan():
 
 
 def test_census_counts_shape():
-    census = level_census(at_most_ones_tree(2), 6)
-    assert census[0] == 1
-    for n in range(6):
-        assert census[n + 1] <= 2 * census[n]
+    """The root is the one sequence of length 0, and a level holds at most
+    twice the one above it: each member has two children at most."""
+    for tree in [at_most_ones_tree(2), *map(_random_pruned_tree, range(10))]:
+        census = level_census(tree, 7)
+        assert census[0] == 1
+        for n in range(7):
+            assert census[n + 1] <= 2 * census[n]
 
 
 def _random_pruned_tree(seed: int) -> DecidableTree:
@@ -334,15 +346,6 @@ def _random_pruned_tree(seed: int) -> DecidableTree:
         return all(alive(bits[:k]) for k in range(1, len(bits) + 1))
 
     return DecidableTree(member)
-
-
-def test_measure_upper_examples_and_monotonicity():
-    assert measure_upper(full_tree(), 7) == 1
-    assert measure_upper(zeros_tree(), 6) == Fraction(1, 64)
-    for seed in range(10):
-        tree = _random_pruned_tree(seed)
-        measures = [measure_upper(tree, n) for n in range(8)]
-        assert all(b <= a for a, b in zip(measures, measures[1:]))
 
 
 def test_prefix_closure_checker_catches_violation():
