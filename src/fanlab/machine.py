@@ -64,13 +64,13 @@ a run of INCs and a macro counting one each: by then the interpreter has
 lost about twice what generating the function costs (``run`` gives the
 measurements).  Deciders of a few dispatches a run, take-k and table
 realizers through a whole extraction and the Kleene tree's programs stay
-interpreted.  The function keeps registers in locals and dispatches
-only at pc 0 and jump targets; from each of those it runs straight through
-every fall-through, checks fuel once per such superblock and charges a
-macro's rounds at once.  When a superblock could pass the budget, it hands
-its state to the interpreter, so steps, outcomes and traces stay exactly
-those above: ``OutOfFuel`` at ``steps == fuel``, and a blocking query with
-the steps up to itself.
+interpreted.  Block code covers plain superblocks only: the function keeps
+registers in locals and dispatches only at pc 0, jump targets and macros;
+from each it runs straight through every fall-through, checking fuel once.
+At a macro, or before a superblock that could pass the budget, it hands
+its state to the interpreter for the rest of the run, so steps, outcomes
+and traces stay exactly those above: ``OutOfFuel`` at ``steps == fuel``,
+and a blocking query with the steps up to itself.
 
 Numbering
 ---------
@@ -529,10 +529,10 @@ def _result(outcome: EvalOutcome, steps: int, queries, answers) -> RunResult:
 def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None,
              entry: _Entry | None = None) -> RunResult:
     """The single-step interpreter.  `resume` is (pc, steps, registers,
-    queries, answers): the state a block function hands over when its next
-    block would pass the budget.  `entry`, when given, gains the dispatches
-    this run took: one per plain step, run of INCs or macro, whatever it
-    charged."""
+    queries, answers): the state a block function hands over at a macro
+    head, or before a superblock that could pass the budget.  `entry`, when
+    given, gains the dispatches this run took: one per plain step, run of
+    INCs or macro, whatever it charged."""
     ops, arg1, arg2, nregs = compiled
     n = len(ops)
     regs = [0] * nregs
@@ -645,30 +645,24 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None,
 def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
     """One Python function that runs `tables` exactly as `_execute(tables, ...)`.
 
-    Register i is the local `r{i}`.  Control dispatches, through a binary
-    if-tree on pc, only to the heads: pc 0 and every jump target inside the
-    program.  A LOOP, SPIN or WAIT sits at its own jump target, so each is a
-    head.  From a head, code runs on through every fall-through (past a DECJZ
-    that does not jump, a QUERY, a run of INCs) to the next jump (a HALT is
-    one, past the end) or head, so each head starts one superblock.  A
-    superblock checks fuel once, against its longest path, and charges its
-    steps when it leaves; a QUERY that blocks charges the steps up to itself.
-    When the longest path would pass the budget, the function hands its state
-    to `_execute` at the head, which then runs at most that many steps.  A
-    LOOP macro is a superblock of its own that charges all its rounds at once
-    and leaves by one of its exits; so is a SERIES macro, which hands a state
-    its rounds do not assume (u not 0) to `_execute` at its head.
+    Block code covers plain superblocks only.  Register i is the local
+    `r{i}`.  Control dispatches, through a binary if-tree on pc, only to the
+    heads: pc 0, every jump target inside the program and every macro.  From
+    a plain head, code runs on through every fall-through (past a DECJZ that
+    does not jump, a QUERY, a run of INCs) to the next jump (a HALT is one,
+    past the end) or head.  A superblock checks fuel once, against its
+    longest path, and charges its steps when it leaves; a QUERY that blocks
+    charges the steps up to itself.  At a macro head, or when the longest
+    path would pass the budget, it hands its state to `_execute` for the rest.
     """
     ops, arg1, arg2, nregs = tables
     n = len(ops)
     targets = {0}
     for pc, op in enumerate(ops):
-        if op == _OP_LOOP:
-            targets.update(arg2[pc][0])
-        elif op == _OP_SERIES:
-            targets.add(arg2[pc][0])
-        elif op not in (_OP_INC, _OP_QUERY):
+        if op == _OP_DECJZ or op == _OP_JMP:
             targets.add(arg2[pc])
+        elif op >= _OP_LOOP:  # a macro heads a superblock of its own
+            targets.add(pc)
     heads = sorted(t for t in targets if t < n)
     head_set = set(heads)
 
@@ -678,57 +672,9 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
             return [f"{pad}return _result(Converged(r0), steps + {more}, queries, answers)"]
         return [f"{pad}steps += {more}", f"{pad}pc = {target}", f"{pad}continue"]
 
-    def loop(h: int, pad: str) -> list[str]:
-        reg = arg1[h]
-        exits, per_round, counts = arg2[h]
-        m = len(exits)
-        inner = pad + "    "
-        if m == 1:
-            charge = [f"{inner}cost = v * {per_round} + 1"]
-            leave = goto(exits[0], "cost", inner)
-        else:  # v = rounds * m + j: v becomes the rounds, then j tests, exit j
-            charge = [f"{inner}v, j = divmod(v, {m})",
-                      f"{inner}cost = v * {per_round} + j + 1"]
-            leave = [line for j, x in enumerate(exits[:-1])
-                     for line in (f"{inner}if j == {j}:", *goto(x, "cost", inner + "    "))]
-            leave += goto(exits[-1], "cost", inner)
-        return [f"{pad}v = r{reg}",
-                f"{pad}if v:",
-                *charge,
-                f"{inner}if steps + cost > fuel:",
-                f"{inner}    break",
-                f"{inner}r{reg} = 0",
-                *(f"{inner}r{a} += v{'' if c == 1 else f' * {c}'}" for a, c in counts),
-                *leave,
-                f"{pad}if steps == fuel:",
-                f"{pad}    break",
-                *goto(exits[0], 1, pad)]
-
-    def series(h: int, pad: str) -> list[str]:
-        reg = arg1[h]
-        exit_, t, u, delta, per_round, per_unit, head, moved = arg2[h]
-        inner = pad + "    "
-        return [f"{pad}v = r{reg}",
-                f"{pad}if v:",
-                f"{inner}if r{u}:",  # not the state the rounds assume: _execute steps it
-                f"{inner}    break",
-                f"{inner}s = v * r{t} + {delta} * (v * (v + 1) // 2)",
-                f"{inner}cost = v * {per_round} + s * {per_unit} + 1",
-                f"{inner}if steps + cost > fuel:",
-                f"{inner}    break",
-                f"{inner}r{reg} = 0",
-                *(f"{inner}r{a} += v * {c}" for a, c in head),
-                *(f"{inner}r{a} += s * {c}" for a, c in moved),
-                *goto(exit_, "cost", inner),
-                f"{pad}if steps == fuel:",
-                f"{pad}    break",
-                *goto(exit_, 1, pad)]
-
     def superblock(h: int, pad: str) -> list[str]:
-        if ops[h] == _OP_LOOP:
-            return loop(h, pad)
-        if ops[h] == _OP_SERIES:
-            return series(h, pad)
+        if ops[h] >= _OP_LOOP:  # a macro: the interpreter runs it
+            return [f"{pad}break"]
         out: list[str] = []
         pending: dict[int, int] = {}  # INCs not yet written out
         cost = 0  # steps from the head to here
@@ -761,18 +707,11 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
                         f"{pad}    return _result(Blocked(q), steps + {cost}, queries, answers)",
                         f"{pad}append(q)",
                         f"{pad}bit(r{arg2[pc]})"]
-            elif op == _OP_DECJZ or op == _OP_WAIT:
-                out.append(f"{pad}if not r{arg1[pc]}:")
-                if op == _OP_WAIT:  # never leaves once the register is 0
-                    out.append(f"{pad}    return _result(_OUT_OF_FUEL, fuel, queries, answers)")
-                else:
-                    out += goto(arg2[pc], cost, pad + "    ")
-                out.append(f"{pad}r{arg1[pc]} -= 1")
-            elif op == _OP_JMP:
+            elif op == _OP_DECJZ:
+                out += [f"{pad}if not r{arg1[pc]}:", *goto(arg2[pc], cost, pad + "    "),
+                        f"{pad}r{arg1[pc]} -= 1"]
+            else:  # a JMP
                 out += goto(arg2[pc], cost, pad)
-                break
-            elif op == _OP_SPIN:
-                out.append(f"{pad}return _result(_OUT_OF_FUEL, fuel, queries, answers)")
                 break
             pc += 1
         return [f"{pad}if steps + {cost} > fuel:", f"{pad}    break", *out]
@@ -793,8 +732,7 @@ def _generate(tables) -> Callable[[int, Oracle, int], RunResult]:
                   f"    return _execute(tables, r0, oracle, fuel, "
                   f"(pc, steps, [{', '.join(regs)}], queries, answers))"]
     namespace = {"_execute": _execute, "_result": _result, "Converged": Converged,
-                 "Blocked": Blocked, "_OUT_OF_FUEL": _OUT_OF_FUEL, "tables": tables,
-                 "YES": YES, "NO": NO}
+                 "Blocked": Blocked, "tables": tables, "YES": YES, "NO": NO}
     exec(compile("\n".join(lines), "<fanlab block code>", "exec"), namespace)
     return namespace.pop("block_run")  # no cycle through its own globals
 
@@ -937,18 +875,25 @@ def curry(code: int, a: int) -> int:
 # Deciders and generators
 
 class DeciderPartial(Exception):
-    """A decider that must be total failed to settle within its fuel."""
+    """A decider that must be total failed to settle within its fuel: program
+    `code` on `input`, after `steps` steps.  The message leaves the code out."""
+
+    def __init__(self, message: str, code: int, x: int, steps: int):
+        super().__init__(message)
+        self.code, self.input, self.steps = code, x, steps
+
+    def __reduce__(self):  # copies and pickles keep the fields
+        return type(self), (*self.args, self.code, self.input, self.steps)
 
 
 def run_decider(code: int, x: int, oracle: Oracle = BLOCK_ALL,
                 fuel: int = DEFAULT_FUEL) -> int:
-    outcome = run(code, x, oracle, fuel).outcome
-    kind = type(outcome)  # exact-type tests, as in encode_instruction
+    res = run(code, x, oracle, fuel)
+    kind = type(res.outcome)  # exact-type tests, as in encode_instruction
     if kind is Converged:
-        return outcome.value
-    if kind is Blocked:
-        raise DeciderPartial(f"decider blocked on query {outcome.query} at input {x}")
-    raise DeciderPartial(f"decider exceeded fuel {fuel} at input {x}")
+        return res.outcome.value
+    why = f"blocked on query {res.outcome.query}" if kind is Blocked else f"exceeded fuel {fuel}"
+    raise DeciderPartial(f"decider {why} at input {x}, steps {res.steps}", code, x, res.steps)
 
 
 def random_program(rng, max_len: int = 10) -> Program:

@@ -2,7 +2,9 @@
 
 `run` compiles loops into macro-ops and runs of one register's INCs into
 single dispatches, each charging many steps, and hot programs into generated
-block functions.  Here the whole `RunResult` (outcome, steps, trace) of both
+block functions.  Block code covers plain superblocks only and hands every
+macro to the interpreter, so on programs with macros the sweeps check that
+hand-over.  Here the whole `RunResult` (outcome, steps, trace) of both
 paths must equal that of a one-instruction-per-step interpreter over
 Instruction tuples, on random programs, on loop-shaped ones, on runs of INCs
 entered at each position and on the blocks that load constants in table

@@ -470,15 +470,22 @@ def test_run_decider_returns_value():
 
 
 def test_run_decider_raises_on_blocked():
-    e = encode_program((Query(1, 0), Halt()))
-    with pytest.raises(DeciderPartial):
-        run_decider(e, 0)
+    e = encode_program((Inc(1), Query(1, 0), Halt()))
+    with pytest.raises(DeciderPartial) as info:
+        run_decider(e, 4)
+    assert str(info.value) == "decider blocked on query 1 at input 4, steps 2"
+    assert (info.value.code, info.value.input, info.value.steps) == (e, 4, 2)
 
 
 def test_run_decider_raises_on_loop():
     e = encode_program((Jmp(0),))
-    with pytest.raises(DeciderPartial):
+    with pytest.raises(DeciderPartial) as info:
         run_decider(e, 0, fuel=500)
+    assert str(info.value) == "decider exceeded fuel 500 at input 0, steps 500"
+    assert (info.value.code, info.value.input, info.value.steps) == (e, 0, 500)
+    for clone in (copy.copy(info.value), pickle.loads(pickle.dumps(info.value))):
+        assert str(clone) == str(info.value)
+        assert (clone.code, clone.input, clone.steps) == (e, 0, 500)
 
 
 def test_halt_constant_exported():
@@ -531,6 +538,42 @@ def test_block_code_lives_in_the_run_cache_entry(generated):
     assert generated == [tables, tables]  # generated anew, not found in a cache
     caches = {name for name, value in vars(machine).items() if hasattr(value, "cache_clear")}
     assert caches == {"_compiled_from_code"}
+
+
+def test_block_code_hands_each_macro_to_the_interpreter(monkeypatch):
+    """Block code runs plain superblocks only.  The query loop's one macro,
+    the LOOP at pc 6 that copies the count out, is reached once, at the end
+    of a run, and the run goes on in `_execute` from there."""
+    program = (
+        Decjz(0, 6),   # 0: inputs used up -> copy the count out
+        Query(1, 2),   # 1: ask the code in r1
+        Inc(1),        # 2
+        Decjz(2, 0),   # 3: No -> next code
+        Inc(3),        # 4: Yes -> count it
+        Jmp(0),        # 5
+        Decjz(3, 9),   # 6: r0 = r3
+        Inc(0),        # 7
+        Jmp(6),        # 8
+    )
+    tables = machine._compile(program)
+    assert tables[0][6] == machine._OP_LOOP
+    real = machine._execute
+    handed = []
+
+    def recording(tables, x, oracle, fuel, resume=None, entry=None):
+        pc, steps, regs, queries, answers = resume
+        handed.append((pc, steps, list(regs), tuple(queries), bytes(answers)))
+        return real(tables, x, oracle, fuel, resume, entry)
+
+    monkeypatch.setattr(machine, "_execute", recording)
+    res = machine._generate(tables)(10, THIRDS, DEFAULT_FUEL)
+    # The first six instructions alone halt where the LOOP would start.
+    upto = real(machine._compile(program[:6]), 10, THIRDS, DEFAULT_FUEL)
+    assert upto.steps == 4 * 4 + 6 * 6 + 1  # 4 codes answered No, 6 Yes, then r0 found 0
+    trace = upto.trace
+    assert handed == [(6, upto.steps, [0, 10, 0, 6], trace.queries, trace.answers)]
+    assert res == real(tables, 10, THIRDS, DEFAULT_FUEL)
+    assert res == RunResult(Converged(6), upto.steps + 6 * 3 + 1, trace)
 
 
 def test_a_code_is_decoded_once_from_cold_to_hot(generated, monkeypatch):
