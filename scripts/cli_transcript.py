@@ -39,6 +39,7 @@ ASM = [f"scripts/asm/{name}.asm"
 MNEMONICS = "tests/data/all_mnemonics.asm"  # all five, labels, mixed case, comments
 FAMILY = "tests/data/nine_slices.txt"
 COMMENTED_FAMILY = "tests/data/family_commented.txt"
+LOOP_FAMILY = "tests/data/family_loop.txt"  # slice 2 decided by `loop: JMP loop`
 BAD_FAMILIES = [f"tests/data/family_{name}.txt"
                 for name in ("duplicate_index", "bad_pattern", "comments_only", "index_gap")]
 TABLE = "table tests/data/bar_commented.tbl"
@@ -110,6 +111,7 @@ def commands() -> list[tuple[list[str], str | None]]:
         ["verify-bound", "--bar", "table tests/data/bar_bad_line.tbl", "--depth", "2"],
         *(["kleene", "--depth", "2", "--family", path] for path in BAD_FAMILIES),
         ["census", "--tree", "decider scripts/asm/first_zero.asm", "--fuel", "5"],
+        ["eval", "scripts/asm/slice_probe.asm", "0", "--family", LOOP_FAMILY, "--node", "0,0,0"],
         ["extract-bound", "--realizer", "scripts/asm/first_bit.asm",
          "--family", FAMILY, "--node", "0,0,0,0,0,0,0,0,1"],
         ["decode", HUGE_COUNT],

@@ -178,6 +178,15 @@ def _assemble(path: str) -> int:
     return encode_program(parse_assembly(_read_text(path)))
 
 
+def _decider(path: str, sources: dict[int, str] | None, source: str | None = None) -> int:
+    """The code of the decider in the file at `path`; `sources`, when given,
+    notes where it came from (`source`, else the path) for its error line."""
+    code = _assemble(path)
+    if sources is not None:
+        sources.setdefault(code, source or path)
+    return code
+
+
 def _program_arg(value: str) -> int:
     """A program given either as a bare code or as an assembly file path."""
     if is_natural(value):
@@ -201,7 +210,7 @@ def _records(path: str):
             yield lineno, line
 
 
-def parse_family_file(path: str) -> Family:
+def parse_family_file(path: str, sources: dict[int, str] | None = None) -> Family:
     entries: dict[int, GroundReal] = {}
     base = Path(path).parent
     for lineno, line in _records(path):
@@ -218,7 +227,7 @@ def parse_family_file(path: str) -> Family:
                 raise CliInputError(f"{path}:{lineno}: pattern must be nonempty 0/1 string")
             entries[n] = GroundReal(pattern=tuple(int(c) for c in bits))
         else:
-            code = _assemble(str(base / rest))
+            code = _decider(str(base / rest), sources, f"{path}:{lineno}")
             entries[n] = GroundReal(decider=code)
     if not entries:
         raise CliInputError(f"{path}: empty family file")
@@ -228,7 +237,7 @@ def parse_family_file(path: str) -> Family:
 
 
 def _family(args) -> Family:
-    return parse_family_file(args.family) if args.family else default_family()
+    return parse_family_file(args.family, args.sources) if args.family else default_family()
 
 
 def _node_oracle(family: Family, text: str | None) -> Oracle:
@@ -248,7 +257,8 @@ def _spec_tokens(spec: str) -> list[str]:
         raise CliInputError(f"bad spec {spec!r}: {exc}") from None
 
 
-def parse_tree_spec(spec: str, family: Family, fuel: int) -> DecidableTree:
+def parse_tree_spec(spec: str, family: Family, fuel: int,
+                    sources: dict[int, str] | None = None) -> DecidableTree:
     toks = _spec_tokens(spec)
     if not toks:
         raise CliInputError("empty tree spec")
@@ -262,7 +272,7 @@ def parse_tree_spec(spec: str, family: Family, fuel: int) -> DecidableTree:
     if kind == "kleene" and len(rest) <= 1:
         return trees.kleene_tree(_node_oracle(family, rest[0] if rest else None))
     if kind == "decider" and 1 <= len(rest) <= 2:
-        code = _assemble(rest[0])
+        code = _decider(rest[0], sources)
         oracle = _node_oracle(family, rest[1] if len(rest) == 2 else None)
         return DecidableTree.from_program(code, oracle, fuel)
     raise CliInputError(f"bad tree spec: {spec!r}")
@@ -278,7 +288,7 @@ def parse_bar_table_file(path: str) -> frozenset[Bits]:
     return frozenset(out)
 
 
-def parse_bar_spec(spec: str, oracle, fuel: int):
+def parse_bar_spec(spec: str, oracle, fuel: int, sources: dict[int, str] | None = None):
     """A bar membership test from `depth <k>`, `table <file>`, or an assembly path."""
     toks = _spec_tokens(spec)
     if len(toks) == 2 and toks[0] == "depth" and is_natural(toks[1]):
@@ -286,7 +296,7 @@ def parse_bar_spec(spec: str, oracle, fuel: int):
     if len(toks) == 2 and toks[0] == "table":
         return fan.table_bar(parse_bar_table_file(toks[1]))
     if len(toks) == 1:
-        code = _assemble(toks[0])
+        code = _decider(toks[0], sources)
         return DecidableTree.from_program(code, oracle, fuel).contains
     raise CliInputError(f"bad bar spec: {spec!r}")
 
@@ -351,7 +361,7 @@ def _cmd_kleene(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    tree = parse_tree_spec(args.tree, _family(args), args.fuel)
+    tree = parse_tree_spec(args.tree, _family(args), args.fuel, args.sources)
     if args.scan:
         counts = [trees.full_scan_count(tree, n) for n in range(args.depth + 1)]
     else:
@@ -362,7 +372,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_wwkl(args) -> int:
-    tree = parse_tree_spec(args.tree, _family(args), args.fuel)
+    tree = parse_tree_spec(args.tree, _family(args), args.fuel, args.sources)
     witness = trees.wwkl_witness(tree, args.max)
     print(f"witness {'none' if witness is None else witness}")
     return 0
@@ -390,7 +400,8 @@ def _cmd_extract_bound(args) -> int:
 
 
 def _cmd_verify_bound(args) -> int:
-    bar = parse_bar_spec(args.bar, _node_oracle(_family(args), args.node), args.fuel)
+    oracle = _node_oracle(_family(args), args.node)
+    bar = parse_bar_spec(args.bar, oracle, args.fuel, args.sources)
     ok = fan.verify_uniform_bound(bar, args.depth)
     print(f"verified {'true' if ok else 'false'}")
     return 0 if ok else 1
@@ -630,11 +641,15 @@ def _main(argv: list[str]) -> int:
     args, stray = _parser.parse_known_args(argv)
     if stray:
         args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
+    args.sources = {}  # decider code -> where this call assembled it
     started = time.perf_counter()
     print(f"# fanlab {args.command} inputs {_digest(argv)}")
     try:
         status = args.func(args)
-    except (CliInputError, DeciderPartial, machine.ProgramTooLong) as exc:
+    except DeciderPartial as exc:
+        print(f"error: {args.sources[exc.code]}: {exc}", file=sys.stderr)
+        return 2
+    except (CliInputError, machine.ProgramTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"# wall-time {time.perf_counter() - started:.3f}s")

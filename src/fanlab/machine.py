@@ -61,12 +61,14 @@ compiled from those tables into one generated Python function, kept in the
 same entry.  A program turns hot once its interpreted runs together have
 taken ``3000 + 40 * n`` dispatches, n its instruction count, a plain step,
 a run of INCs and a macro counting one each: by then the interpreter has
-lost about twice what generating the function costs (``run`` gives the
-measurements).  Deciders of a few dispatches a run, take-k and table
-realizers through a whole extraction and the Kleene tree's programs stay
-interpreted.  Block code covers plain superblocks only: the function keeps
-registers in locals and dispatches only at pc 0, jump targets and macros;
-from each it runs straight through every fall-through, checking fuel once.
+lost 1.1-1.7 times what generating the function costs (``run`` gives the
+measurements).  Take-k and table realizers through a whole extraction and
+the Kleene tree's programs through one census stay interpreted, and a
+program whose first instruction heads a macro, an ``x mod m`` decider for
+one, is never hot: its block code would hand every run over at pc 0.
+Block code covers plain superblocks only: the function keeps registers in
+locals and dispatches only at pc 0, jump targets and macros; from each it
+runs straight through every fall-through, checking fuel once.
 At a macro, or before a superblock that could pass the budget, it hands
 its state to the interpreter for the rest of the run, so steps, outcomes
 and traces stay exactly those above: ``OutOfFuel`` at ``steps == fuel``,
@@ -344,8 +346,6 @@ _INC_R0 = Inc(0)  # instruction code 0
 
 def encode_program(program: Iterable[Instruction]) -> int:
     codes = [encode_instruction(ins) for ins in program]
-    if not codes:
-        return pair(0, 0)
     return pair(len(codes), _encode_seq(codes))
 
 
@@ -608,9 +608,7 @@ def _execute(compiled, x: int, oracle: Oracle, fuel: int, resume=None,
             r = arg1[pc]
             v = regs[r]
             exit_, t, u, delta, per_round, per_unit, head, moved = arg2[pc]
-            if not v:
-                pc = exit_
-            elif regs[u]:  # not the state the rounds assume: one plain DECJZ
+            if v and regs[u]:  # not the state the rounds assume: one plain DECJZ
                 regs[r] = v - 1
                 pc += 1
             else:  # v rounds moving s units in all, then the DECJZ that exits
@@ -774,24 +772,21 @@ def run(code: int, x: int, oracle: Oracle = BLOCK_ALL, fuel: int = DEFAULT_FUEL)
         return entry.fn(x, oracle, fuel)
     res = _execute(entry.tables, x, oracle, fuel, None, entry)
     # Hotness counts dispatches: block code saves time per dispatch, not per
-    # step.  Generating a block function costs G: 0.21 ms for a 7-instruction
-    # x mod m decider, 0.25 ms for a 9-instruction query loop, 0.93-1.07 ms
-    # for take-6..8 (196-425 instructions), 3.4-5.2 ms for 742-969-instruction
-    # table realizers, 84-97% of it in compile().  Block code saves 85 ns of
-    # the query loop's 146 ns a dispatch and 125-130 ns of take-k's 310-320
-    # (Python 3.11, 2-vCPU host), so it pays back after G / saving: about
-    # 3,000 dispatches for the query loop, 7,500-8,100 for take-6..8.  Turning
-    # hot once the interpreter has lost c times G bounds a program's cost at
-    # 1 + c times the best choice in hindsight.  3,000 + 40 * n is 1.2 times
-    # the query loop's pay-back and 1.4-2.5 times take-6..8's: it waits about
-    # 2G, for a bound of about 3x, not the 2x of waiting G.  So take-5..8
-    # extractions (1,000-12,500 dispatches, INC runs fused) stay cold, where
-    # 1,500 + 20 * n turned take-8 hot 80% of the way through and cost it 3%
-    # in an in-process A/B, while oracle-scan's query loop still turns hot in
-    # its first run (about 4,700 dispatches).
-    # Deciders (1-3 dispatches a run), table realizers (about 500 dispatches
-    # an extraction) and the Kleene tree's programs stay interpreted.
-    if entry.dispatches >= 3_000 + 40 * len(entry.tables[0]):
+    # step.  Generating a block function costs G: 0.11 ms for the mod-3
+    # decider, 0.19 ms for the 9-instruction query loop, 0.69-1.0 ms for
+    # take-6..8 (196-425 instructions), 2.5 ms for a 943-instruction table
+    # realizer, 85-91% of it in compile().  Block code saves 92-96 ns of the
+    # query loop's 142-147 ns a dispatch and 64-74 ns of take-k's 308-346
+    # (Python 3.11.7, 2-vCPU host), so it pays back after G / saving: about
+    # 2,000 dispatches for the query loop, 10,000-13,000 for take-6..8.
+    # Turning hot once the interpreter has lost c times G bounds a program's
+    # cost at 1 + c times the best choice in hindsight; 3,000 + 40 * n waits
+    # 1.7 G for the query loop, which turns hot in its first oracle-scan run
+    # (about 4,700 dispatches), and 1.1-1.5 G for take-6..8, whose whole
+    # extractions (2,400-12,500 dispatches) stay cold.  A macro at pc 0 would
+    # make block code that hands every run to `_execute` there.
+    ops = entry.tables[0]  # an empty program never dispatches, so ops[0] exists
+    if entry.dispatches >= 3_000 + 40 * len(ops) and ops[0] < _OP_LOOP:
         entry.fn = _generate(entry.tables)
     return res
 

@@ -17,13 +17,12 @@ from one run per e < n_max and one counting pass.
 from __future__ import annotations
 
 from itertools import accumulate, product
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .machine import (
     BLOCK_ALL,
     DEFAULT_FUEL,
     Converged,
-    DeciderPartial,
     EvalOutcome,
     OutOfFuel,
     Oracle,
@@ -202,21 +201,21 @@ def full_scan_count(tree: DecidableTree, n: int) -> int:
     return sum(1 for bits in product((0, 1), repeat=n) if tree.contains(bits))
 
 
-def level_census(tree: DecidableTree, n_max: int) -> tuple[int, ...]:
-    """Members at each level 0..n_max: the tree's closed-form census when it
-    has one, else by frontier expansion."""
+def _level_counts(tree: DecidableTree, n_max: int) -> Iterable[int]:
+    """Level counts 0..n_max: the closed form if any, else expanded as asked."""
     if tree.census is not None:
         return tree.census(n_max)
-    return tuple(len(front) for _, front in levels(tree, n_max))
+    return (len(front) for _, front in levels(tree, n_max))
+
+
+def level_census(tree: DecidableTree, n_max: int) -> tuple[int, ...]:
+    """Members at each level 0..n_max."""
+    return tuple(_level_counts(tree, n_max))
 
 
 def wwkl_witness(tree: DecidableTree, n_max: int) -> int | None:
     """Least level where at least half the sequences are outside the tree."""
-    if tree.census is not None:
-        counts = tree.census(n_max)
-    else:
-        counts = (len(frontier) for _, frontier in levels(tree, n_max))
-    for n, count in enumerate(counts):
+    for n, count in enumerate(_level_counts(tree, n_max)):
         if 2 * count <= (1 << n):
             return n
     return None
@@ -280,25 +279,3 @@ class BranchDecider:
         bits = tuple(bits)
         return bits == self.prefix_at(len(bits))
 
-
-__all__ = [
-    "Bits",
-    "BranchDecider",
-    "DecidableTree",
-    "DeciderPartial",
-    "IncoherentBranch",
-    "SettleTable",
-    "at_most_ones_tree",
-    "bits_to_code",
-    "check_prefix_closed",
-    "code_to_bits",
-    "format_bits",
-    "full_scan_count",
-    "full_tree",
-    "kleene_tree",
-    "level_census",
-    "levels",
-    "parse_bits",
-    "wwkl_witness",
-    "zeros_tree",
-]

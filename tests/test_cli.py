@@ -309,19 +309,25 @@ def _decider_loop_files(tmp_path) -> dict[str, Path]:
     return {"loop": loop, "family": family, "probe": probe}
 
 
-@pytest.mark.parametrize("command", ["census", "eval", "extract-bound"])
+@pytest.mark.parametrize("command", ["census", "verify-bound", "eval", "extract-bound"])
 def test_non_settling_deciders_exit_2(command, tmp_path, capsys):
+    """The error line names where the decider came from: its assembly path,
+    or the family file and line that named it."""
     files = _decider_loop_files(tmp_path)
     if command == "census":
         argv = ("census", "--tree", f"decider {files['loop']}", "--fuel", "50")
-        message = "error: decider exceeded fuel 50 at input 0, steps 50\n"
+        message = f"error: {files['loop']}: decider exceeded fuel 50 at input 0, steps 50\n"
+    elif command == "verify-bound":
+        argv = ("verify-bound", "--bar", str(files["loop"]), "--depth", "1", "--fuel", "9")
+        message = f"error: {files['loop']}: decider exceeded fuel 9 at input 0, steps 9\n"
     else:  # node 0,0 opens slice 1, whose ground real loops
         family = ("--family", str(files["family"]), "--node", "0,0")
         if command == "eval":
             argv = ("eval", str(files["probe"]), "0", *family)
         else:  # a realizer's base-oracle question is not a failed run
             argv = ("extract-bound", "--realizer", str(files["probe"]), *family)
-        message = "error: decider exceeded fuel 100000 at input 0, steps 100000\n"
+        message = (f"error: {files['family']}:2: decider exceeded fuel 100000 at input 0,"
+                   " steps 100000\n")
     assert run_cli(*argv) == (2, [])
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

@@ -640,8 +640,9 @@ def test_hot_program_rejects_negative_fuel(generated):
 def test_run_rejects_a_negative_input(generated):
     """Inputs are naturals.  On -3 the transfer loop below would be charged
     -3 rounds, a negative step count, where stepping it one instruction at a
-    time never ends; `run` refuses it, cold and hot."""
-    code = encode_program((Decjz(0, 3), Inc(1), Jmp(0), HALT))
+    time never ends; `run` refuses it, cold and hot.  The INC in front keeps
+    the loop off pc 0, where a macro would keep the program cold."""
+    code = encode_program((Inc(2), Decjz(0, 4), Inc(1), Jmp(1), HALT))
     with pytest.raises(ValueError):
         run(code, -3, fuel=50)
     run_until_hot(code, 100)
@@ -732,10 +733,18 @@ def test_table_realizer_stays_cold_through_an_extraction(generated):
 
 def test_mod_decider_stays_cold_over_a_thousand_runs(generated):
     """Its countdown cycle is one LOOP dispatch, so a run takes 1-3
-    dispatches however many steps it is charged."""
+    dispatches however many steps it is charged.  A program whose first
+    instruction heads a macro never turns hot, however many runs it takes:
+    its block code would hand each run to the interpreter at pc 0."""
     code = encode_program(mod_decider_program(4, 1))
     for i in range(1_000):
         assert run(code, i % 101).outcome == Converged(int(i % 101 % 4 == 1))
+    mod3 = encode_program(mod_decider_program(3, 1))
+    for i in range(5_000):
+        assert run(mod3, i % 101).outcome == Converged(int(i % 101 % 3 == 1))
+    spin = encode_program((Jmp(0),))
+    for i in range(5_000):
+        assert run(spin, i).outcome == OutOfFuel()
     assert generated == []
 
 

@@ -382,6 +382,18 @@ def test_wwkl_at_most_one_one():
     assert _brute_force_witness(tree, 10) == 3
 
 
+def test_wwkl_expands_no_deeper_than_the_witness():
+    """A tree without a closed form is expanded one level at a time as the
+    search asks, so a membership test that raises past at-most-one-one's
+    witness level 3 is never reached there."""
+    def member(bits):
+        if len(bits) > 3:
+            raise AssertionError(f"asked past the witness level: {bits}")
+        return sum(bits) <= 1
+
+    assert wwkl_witness(DecidableTree(member), 10) == 3
+
+
 def test_wwkl_minimality():
     for tree in [zeros_tree(), at_most_ones_tree(1), at_most_ones_tree(2)]:
         n = wwkl_witness(tree, 10)
